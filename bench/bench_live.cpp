@@ -1,12 +1,12 @@
 // Micro-benchmarks of the live observability layer plus a hard guard on
-// its core contract: with no live sink attached (the default), the run
-// path must be near-free. Disabled cost is ONE pointer test per run —
-// core::Session::run selects the canonical builder directly and never
-// constructs the tee — so the guard measures the real cost of that
-// sink-selection branch, scales it by a generous over-estimate of
-// selections per run, and asserts the bound stays under 2% of a measured
-// run time. The enabled path (tee + LiveMetrics per record) is measured
-// and reported for reference but is not part of the disabled contract.
+// its core contract: with no trace hook attached (the default), the run
+// path must be near-free. Disabled cost is ONE empty-check of
+// core::RunOptions::trace_progress per flush burst, so the guard measures
+// that check, scales it by the flush bursts a measured run really has,
+// and asserts the bound stays under 2% of that run's time. The enabled
+// path (a LiveTimelineView reading the builder after every burst) is
+// measured and reported for reference but is not part of the disabled
+// contract.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "core/hlsprof.hpp"
-#include "live/metrics.hpp"
-#include "live/reporter.hpp"
 #include "live/timeline.hpp"
-#include "trace/streaming.hpp"
-#include "workloads/simple.hpp"
+#include "runner/job_event.hpp"
+#include "workloads/gemm.hpp"
 
 using namespace hlsprof;
 
@@ -33,76 +31,78 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Sink that discards records — the cheapest possible tee target, so the
-/// branch measurement below is not polluted by real sink work.
-struct NullSink final : trace::RecordSink {
-  void on_state(const trace::StateRecord&, cycle_t) override {}
-  void on_event(const trace::EventRecord&, cycle_t) override {}
-};
-
-/// Measured wall-clock cost of one disabled sink selection: the
-/// `live_sink != nullptr` test Session::run performs once per run (the
-/// tee is never constructed when it fails).
-double disabled_branch_seconds() {
-  NullSink primary;
-  trace::RecordSink* live = nullptr;
-  benchmark::DoNotOptimize(live);  // opaque to the optimizer
+/// Measured wall-clock cost of one disabled hook check: the
+/// `if (hook)` Session::run's flush sink performs after every burst.
+double disabled_check_seconds() {
+  const trace::TimedTraceBuilder builder(4, 0);
+  core::TraceHook hook;
+  benchmark::DoNotOptimize(hook);  // opaque to the optimizer
   constexpr long long kIters = 16'000'000;
   const auto t0 = Clock::now();
   for (long long i = 0; i < kIters; ++i) {
-    trace::RecordSink* sink = &primary;
-    if (live != nullptr) sink = live;
-    benchmark::DoNotOptimize(sink);
+    if (hook) hook(builder);
+    benchmark::ClobberMemory();
   }
   return seconds_since(t0) / double(kIters);
 }
 
-/// Min-of-several simulator run time for a small workload; `sink`
-/// optionally attaches a live observer (min damps scheduler noise).
-double sim_run_seconds(trace::RecordSink* sink) {
+struct RunTime {
+  double seconds = 1e9;  // min over repetitions (damps scheduler noise)
+  long long flush_bursts = 0;
+};
+
+/// Run time of the paper's contended 8-thread naive GEMM at a small size
+/// (a trace-heavy run: dozens of flush bursts), optionally with a
+/// timeline view reading the builder after every burst.
+RunTime sim_run(bool with_view) {
+  constexpr int kDim = 24;
   const auto design = std::make_shared<const hls::Design>(
-      core::compile(workloads::vecadd(4096, 4)));
-  double best = 1e9;
+      core::compile(workloads::gemm_naive({.dim = kDim, .threads = 8})));
+  RunTime best;
   for (int rep = 0; rep < 5; ++rep) {
+    live::LiveTimelineView view(8);  // null output: never draws
     core::RunOptions opts;
-    opts.live_sink = sink;
+    if (with_view) {
+      opts.trace_progress = [&view](const trace::TimedTraceBuilder& b) {
+        view.update(b);
+      };
+    }
     core::Session session(design, opts);
-    std::vector<float> x(4096, 1.0f), y(4096, 2.0f), z(4096, 0.0f);
-    session.sim().bind_f32("x", x);
-    session.sim().bind_f32("y", y);
-    session.sim().bind_f32("z", z);
+    std::vector<float> a(kDim * kDim, 1.0f), b(kDim * kDim, 2.0f),
+        c(kDim * kDim, 0.0f);
+    session.sim().bind_f32("A", a);
+    session.sim().bind_f32("B", b);
+    session.sim().bind_f32("C", c);
     const auto t0 = Clock::now();
-    session.run();
-    best = std::min(best, seconds_since(t0));
+    const core::RunResult r = session.run();
+    best.seconds = std::min(best.seconds, seconds_since(t0));
+    best.flush_bursts = r.flush_bursts;
   }
   return best;
 }
 
-/// The branch runs once per Session::run; 64 leaves room for future
-/// per-phase selection points without moving the bound.
-constexpr double kSelectionsPerRun = 64.0;
-
 void check_disabled_overhead() {
-  const double branch_s = disabled_branch_seconds();
-  const double run_s = sim_run_seconds(nullptr);
-  const double overhead = kSelectionsPerRun * branch_s / run_s;
+  const double check_s = disabled_check_seconds();
+  const RunTime run = sim_run(/*with_view=*/false);
+  // One check per burst, plus the one after the final drain.
+  const double checks = double(run.flush_bursts + 1);
+  const double overhead = checks * check_s / run.seconds;
   std::printf(
-      "live disabled-path guard: %.2f ns/selection, sim run %.3f ms, "
-      "bound %.6f%% of run (limit 2%%)\n",
-      branch_s * 1e9, run_s * 1e3, overhead * 100.0);
+      "live disabled-path guard: %.2f ns/check x %lld flush bursts, sim run "
+      "%.3f ms, bound %.6f%% of run (limit 2%%)\n",
+      check_s * 1e9, run.flush_bursts, run.seconds * 1e3, overhead * 100.0);
   if (overhead >= 0.02) {
     std::fprintf(stderr,
                  "FAIL: disabled live-path overhead bound %.6f%% >= 2%%\n",
                  overhead * 100.0);
     std::exit(1);
   }
-  // Reference only: what attaching the cheapest real observer costs.
-  live::LiveMetrics metrics(4, 0);
-  const double live_run_s = sim_run_seconds(&metrics);
+  // Reference only: what a real observer costs.
+  const RunTime live_run = sim_run(/*with_view=*/true);
   std::printf(
-      "live enabled-path reference: run %.3f ms with LiveMetrics attached "
-      "(%+.1f%% vs disabled)\n",
-      live_run_s * 1e3, (live_run_s / run_s - 1.0) * 100.0);
+      "live enabled-path reference: run %.3f ms with a timeline view "
+      "attached (%+.1f%% vs disabled)\n",
+      live_run.seconds * 1e3, (live_run.seconds / run.seconds - 1.0) * 100.0);
 }
 
 // ---- microbenches ----------------------------------------------------------
@@ -116,79 +116,52 @@ trace::StateRecord make_state(int threads, std::uint32_t clock) {
   return r;
 }
 
-void BM_live_metrics_on_state(benchmark::State& state) {
-  live::LiveMetrics m(8, 1024);
-  cycle_t t = 0;
-  for (auto _ : state) {
-    m.on_state(make_state(8, std::uint32_t(t)), t);
-    t += 16;
-  }
-  benchmark::DoNotOptimize(m.last_clock());
-}
-BENCHMARK(BM_live_metrics_on_state);
-
-void BM_live_metrics_on_event(benchmark::State& state) {
-  live::LiveMetrics m(8, 1024);
-  trace::EventRecord e;
-  e.kind = trace::EventKind::bytes_read;
-  e.value = 64;
-  cycle_t t = 0;
-  for (auto _ : state) {
-    e.clock32 = std::uint32_t(t);
-    m.on_event(e, t);
-    t += 16;
-  }
-  benchmark::DoNotOptimize(m.event_records());
-}
-BENCHMARK(BM_live_metrics_on_event);
-
-void BM_live_timeline_on_state(benchmark::State& state) {
+/// One burst's worth of state records folded by the builder, then read by
+/// the view — the per-burst work of the state-mode display.
+void BM_live_timeline_update(benchmark::State& state) {
+  trace::TimedTraceBuilder builder(8, 1024);
   live::LiveTimelineView view(8);  // null output: never auto-renders
   cycle_t t = 0;
   for (auto _ : state) {
-    view.on_state(make_state(8, std::uint32_t(t)), t);
-    t += 16;
+    for (int i = 0; i < 64; ++i) {
+      builder.on_state(make_state(8, std::uint32_t(t)), t);
+      t += 16;
+    }
+    view.update(builder);
   }
   benchmark::DoNotOptimize(view.last_clock());
 }
-BENCHMARK(BM_live_timeline_on_state);
+BENCHMARK(BM_live_timeline_update);
 
-void BM_tee_dispatch(benchmark::State& state) {
-  NullSink a;
-  NullSink b;
-  trace::TeeRecordSink tee(a, b);
-  const trace::StateRecord r = make_state(8, 0);
-  cycle_t t = 0;
-  for (auto _ : state) tee.on_state(r, ++t);
+runner::JobEvent sample_event() {
+  runner::JobEvent e;
+  e.index = 3;
+  e.name = "gemm dim=48, blocked";
+  e.cycles = 123456789;
+  e.threads = 8;
+  e.state_cycles = {1000, 900000000, 20000, 7654321};
+  e.bytes = 4096000;
+  e.done = 3;
+  e.jobs = 16;
+  return e;
 }
-BENCHMARK(BM_tee_dispatch);
 
-void BM_format_live_line(benchmark::State& state) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.thread_cycles = 987654312;
-  l.running = 0.75;
+void BM_format_job_event(benchmark::State& state) {
+  const runner::JobEvent e = sample_event();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(live::format_live_line(l));
+    benchmark::DoNotOptimize(runner::format_job_event(e));
   }
 }
-BENCHMARK(BM_format_live_line);
+BENCHMARK(BM_format_job_event);
 
-void BM_parse_live_line(benchmark::State& state) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.running = 0.75;
-  const std::string line = live::format_live_line(l);
-  live::LiveLine out;
+void BM_parse_job_event(benchmark::State& state) {
+  const std::string line = runner::format_job_event(sample_event());
+  runner::JobEvent out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(live::parse_live_line(line, &out));
+    benchmark::DoNotOptimize(runner::parse_job_event(line, &out));
   }
 }
-BENCHMARK(BM_parse_live_line);
+BENCHMARK(BM_parse_job_event);
 
 }  // namespace
 

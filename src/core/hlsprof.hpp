@@ -11,8 +11,8 @@
 //   paraver::write_paraver(r.timeline, "gemm", "out/gemm_v1");
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,6 +39,9 @@ inline std::shared_ptr<const hls::Design> compile_shared(
   return std::make_shared<const hls::Design>(hls::compile(std::move(k), opts));
 }
 
+/// Observer of a run's timeline fold (see RunOptions::trace_progress).
+using TraceHook = std::function<void(const trace::TimedTraceBuilder&)>;
+
 struct RunOptions {
   /// Simulation runs on the fast path (direct dispatch + batched memory
   /// streams) by default; set `sim.reference_event_loop` to use the
@@ -51,14 +54,14 @@ struct RunOptions {
   profiling::ProfilingConfig profiling;
   bool enable_profiling = true;
   std::size_t mem_capacity = std::size_t{64} << 20;
-  /// Optional live observer of the decoded record stream (e.g.
-  /// live::LiveMetrics / live::LiveTimelineView). When set, every record
-  /// is teed to it *after* the canonical TimedTraceBuilder sees it, so
-  /// the timeline — and therefore report and Paraver bytes — is
-  /// unchanged whether a sink is attached or not. Null (the default)
-  /// costs a single branch per run. Must outlive run(); ignored when
-  /// profiling is disabled.
-  trace::RecordSink* live_sink = nullptr;
+  /// Optional live observer of the canonical timeline fold: called with
+  /// the run's TimedTraceBuilder after each decoded flush burst and once
+  /// after the final drain, on the thread running the simulation. The
+  /// builder is read-only to it, so the timeline — and therefore report
+  /// and Paraver bytes — is the same with a hook or without. Empty (the
+  /// default) costs one check per flush burst. Ignored when profiling is
+  /// disabled.
+  TraceHook trace_progress;
 };
 
 struct RunResult {
@@ -132,18 +135,13 @@ class Session {
     // remains available while the ring has not wrapped.
     trace::TimedTraceBuilder builder(design_->kernel.num_threads,
                                      opts_.profiling.sampling_period);
-    // Optional live observer: tee the decoded records, builder first, so
-    // canonical output is byte-identical with the sink on or off.
-    std::optional<trace::TeeRecordSink> tee;
-    trace::RecordSink* sink = &builder;
-    if (opts_.live_sink != nullptr) {
-      sink = &tee.emplace(builder, *opts_.live_sink);
-    }
-    trace::StreamingDecoder decoder(design_->kernel.num_threads, *sink);
-    unit_->set_flush_sink(&decoder);
+    trace::StreamingDecoder decoder(design_->kernel.num_threads, builder);
+    ProgressSink sink{decoder, builder, opts_.trace_progress};
+    unit_->set_flush_sink(&sink);
     const SinkGuard guard{unit_.get()};  // detach even if the run throws
     r.sim = sim_.run(unit_.get());
     decoder.finish();
+    if (opts_.trace_progress) opts_.trace_progress(builder);
     r.timeline = builder.finish(unit_->run_end());
     r.has_trace = true;
     // Extension beyond the paper (its multi-FPGA future work, first
@@ -169,6 +167,21 @@ class Session {
   }
 
  private:
+  /// The run's flush sink: decode each burst into the builder, then show
+  /// the builder to the progress hook, if any.
+  struct ProgressSink final : trace::FlushSink {
+    trace::StreamingDecoder& decoder;
+    const trace::TimedTraceBuilder& builder;
+    const TraceHook& hook;
+    ProgressSink(trace::StreamingDecoder& d, const trace::TimedTraceBuilder& b,
+                 const TraceHook& h)
+        : decoder(d), builder(b), hook(h) {}
+    void on_burst(const std::uint8_t* data, std::size_t bytes) override {
+      decoder.on_burst(data, bytes);
+      if (hook) hook(builder);
+    }
+  };
+
   /// Detaches the run-local flush sink from the unit on scope exit, so
   /// the unit never holds a dangling sink pointer after a throwing run.
   struct SinkGuard {

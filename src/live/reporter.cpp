@@ -1,10 +1,8 @@
 #include "live/reporter.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/strings.hpp"
-#include "trace/records.hpp"
 
 namespace hlsprof::live {
 
@@ -20,224 +18,81 @@ bool parse_live_mode(const std::string& s, LiveMode* out) {
   return false;
 }
 
-const char* live_mode_name(LiveMode m) {
-  switch (m) {
-    case LiveMode::off: return "off";
-    case LiveMode::state: return "state";
-    case LiveMode::metrics: return "metrics";
+void JobTotals::add(const runner::JobEvent& e) {
+  ++done;
+  cycles += e.cycles;
+  for (std::size_t s = 0; s < state_cycles.size(); ++s) {
+    state_cycles[s] += e.state_cycles[s];
   }
-  return "?";
+  bytes += e.bytes;
 }
 
-std::string format_live_line(const LiveLine& l) {
-  return strf(
-      "%sjobs_done=%zu jobs_total=%zu cycles=%llu thread_cycles=%llu "
-      "idle=%.6f running=%.6f critical=%.6f spinning=%.6f bw=%.6f",
-      kLivePrefix, l.jobs_done, l.jobs_total,
-      static_cast<unsigned long long>(l.cycles),
-      static_cast<unsigned long long>(l.thread_cycles), l.idle, l.running,
-      l.critical, l.spinning, l.bw);
+double JobTotals::share(int s) const {
+  std::uint64_t traced = 0;
+  for (const std::uint64_t c : state_cycles) traced += c;
+  return traced == 0 ? 0.0
+                     : double(state_cycles[std::size_t(s)]) / double(traced);
 }
 
-namespace {
-
-bool find_field(const std::string& line, const char* key, std::string* out) {
-  const std::string needle = std::string(key) + "=";
-  // Fields are space-separated; anchor on " key=" (or the line start).
-  std::size_t pos = line.find(" " + needle);
-  if (pos != std::string::npos) {
-    pos += 1 + needle.size();
-  } else {
-    if (line.rfind(needle, 0) != 0) return false;
-    pos = needle.size();
-  }
-  const std::size_t end = line.find(' ', pos);
-  *out = line.substr(pos, end == std::string::npos ? std::string::npos
-                                                   : end - pos);
-  return !out->empty();
+double JobTotals::bandwidth() const {
+  return cycles == 0 ? 0.0 : double(bytes) / double(cycles);
 }
 
-bool field_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string v;
-  if (!find_field(line, key, &v)) return false;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) return false;
-  *out = n;
-  return true;
-}
-
-bool field_double(const std::string& line, const char* key, double* out) {
-  std::string v;
-  if (!find_field(line, key, &v)) return false;
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) return false;
-  *out = d;
-  return true;
-}
-
-}  // namespace
-
-bool parse_live_line(const std::string& line, LiveLine* out) {
-  const std::string prefix = kLivePrefix;
-  if (line.rfind(prefix, 0) != 0) return false;
-  const std::string body = line.substr(prefix.size());
-  LiveLine l;
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  if (!field_u64(body, "jobs_done", &done)) return false;
-  if (!field_u64(body, "jobs_total", &total)) return false;
-  if (!field_u64(body, "cycles", &l.cycles)) return false;
-  if (!field_u64(body, "thread_cycles", &l.thread_cycles)) return false;
-  if (!field_double(body, "idle", &l.idle)) return false;
-  if (!field_double(body, "running", &l.running)) return false;
-  if (!field_double(body, "critical", &l.critical)) return false;
-  if (!field_double(body, "spinning", &l.spinning)) return false;
-  if (!field_double(body, "bw", &l.bw)) return false;
-  l.jobs_done = std::size_t(done);
-  l.jobs_total = std::size_t(total);
-  *out = l;
-  return true;
-}
-
-std::string format_live_summary(const LiveLine& l) {
+std::string format_totals(const JobTotals& t) {
   return strf(
       "jobs %zu/%zu  cycles %llu  idle %.1f%% run %.1f%% crit %.1f%% "
       "spin %.1f%%  bw %.3f B/cyc",
-      l.jobs_done, l.jobs_total, static_cast<unsigned long long>(l.cycles),
-      l.idle * 100.0, l.running * 100.0, l.critical * 100.0,
-      l.spinning * 100.0, l.bw);
-}
-
-LiveLine merge_live_lines(const std::vector<LiveLine>& lines) {
-  LiveLine m;
-  double state_tc[4] = {0, 0, 0, 0};
-  double bw_cycles = 0.0;
-  for (const LiveLine& l : lines) {
-    m.jobs_done += l.jobs_done;
-    m.jobs_total += l.jobs_total;
-    m.cycles += l.cycles;
-    m.thread_cycles += l.thread_cycles;
-    const double tc = double(l.thread_cycles);
-    state_tc[0] += l.idle * tc;
-    state_tc[1] += l.running * tc;
-    state_tc[2] += l.critical * tc;
-    state_tc[3] += l.spinning * tc;
-    bw_cycles += l.bw * double(l.cycles);
-  }
-  if (m.thread_cycles > 0) {
-    const double tc = double(m.thread_cycles);
-    m.idle = state_tc[0] / tc;
-    m.running = state_tc[1] / tc;
-    m.critical = state_tc[2] / tc;
-    m.spinning = state_tc[3] / tc;
-  }
-  if (m.cycles > 0) m.bw = bw_cycles / double(m.cycles);
-  return m;
+      t.done, t.jobs, static_cast<unsigned long long>(t.cycles),
+      t.share(0) * 100.0, t.share(1) * 100.0, t.share(2) * 100.0,
+      t.share(3) * 100.0, t.bandwidth());
 }
 
 // ---------------------------------------------------------------------------
 // BatchLiveReporter
 
-struct BatchLiveReporter::JobSink final : trace::RecordSink {
-  LiveMetrics metrics;
-  std::unique_ptr<LiveTimelineView> view;
-  int num_threads;
-
-  JobSink(int threads, cycle_t period)
-      : metrics(threads, period), num_threads(threads) {}
-
-  void on_state(const trace::StateRecord& r, cycle_t t) override {
-    metrics.on_state(r, t);
-    if (view) view->on_state(r, t);
-  }
-  void on_event(const trace::EventRecord& r, cycle_t t) override {
-    metrics.on_event(r, t);
-    if (view) view->on_event(r, t);
-  }
-};
-
 BatchLiveReporter::BatchLiveReporter(ReporterOptions opts)
-    : opts_(std::move(opts)) {
-  done_.jobs_total = opts_.jobs_total;
-}
+    : opts_(std::move(opts)) {}
 
 BatchLiveReporter::~BatchLiveReporter() { finish(); }
 
-trace::RecordSink* BatchLiveReporter::begin_job(int index,
-                                                const std::string& name,
-                                                int num_threads,
-                                                cycle_t sampling_period) {
+void BatchLiveReporter::on_trace(int index, const std::string& name,
+                                 const trace::TimedTraceBuilder& b) {
+  if (opts_.mode != LiveMode::state || opts_.display == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  auto sink = std::make_unique<JobSink>(num_threads, sampling_period);
-  if (opts_.mode == LiveMode::state && opts_.display != nullptr &&
-      display_owner_ < 0) {
-    // One job at a time owns the timeline display; the others are
-    // metered silently and fold into the totals when they finish.
+  if (display_owner_ < 0 && !finished_) {
     TimelineOptions topts;
     topts.width = opts_.timeline_width;
     topts.refresh_hz = opts_.refresh_hz;
     topts.color = opts_.color;
     topts.out = opts_.display;
     topts.label = name;
-    sink->view =
-        std::make_unique<LiveTimelineView>(num_threads, std::move(topts));
+    view_ = std::make_unique<LiveTimelineView>(b.num_threads(),
+                                               std::move(topts));
     display_owner_ = index;
   }
-  trace::RecordSink* out = sink.get();
-  active_[index] = std::move(sink);
-  return out;
+  if (display_owner_ == index) view_->update(b);
 }
 
-void BatchLiveReporter::end_job(int index, trace::RecordSink* /*sink*/,
-                                cycle_t run_end, bool ok) {
+void BatchLiveReporter::on_job_event(const runner::JobEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = active_.find(index);
-  if (it == active_.end()) return;
-  JobSink& job = *it->second;
-  ++done_.jobs_done;
-  if (ok) {
-    const LiveStats st = job.metrics.finalize(run_end);
-    done_.cycles += st.duration;
-    done_.thread_cycles +=
-        std::uint64_t(st.duration) * std::uint64_t(job.num_threads);
-    for (int s = 0; s < 4; ++s) {
-      state_cycles_[std::size_t(s)] += st.state_cycles[std::size_t(s)];
-    }
-    bytes_ += st.event_totals[std::size_t(trace::EventKind::bytes_read)] +
-              st.event_totals[std::size_t(trace::EventKind::bytes_written)];
-    if (done_.thread_cycles > 0) {
-      const double tc = double(done_.thread_cycles);
-      done_.idle = double(state_cycles_[0]) / tc;
-      done_.running = double(state_cycles_[1]) / tc;
-      done_.critical = double(state_cycles_[2]) / tc;
-      done_.spinning = double(state_cycles_[3]) / tc;
-    }
-    if (done_.cycles > 0) done_.bw = double(bytes_) / double(done_.cycles);
-  }
-  if (display_owner_ == index) {
-    if (job.view) job.view->finish();
+  totals_.jobs = e.jobs;
+  totals_.add(e);
+  if (display_owner_ == e.index) {
+    view_->finish();
+    view_.reset();
     display_owner_ = -1;
   }
-  active_.erase(it);
-  if (opts_.line_out != nullptr) {
-    const std::string line = format_live_line(done_) + "\n";
-    std::fwrite(line.data(), 1, line.size(), opts_.line_out);
-    std::fflush(opts_.line_out);
-  }
   if (opts_.display != nullptr && opts_.mode == LiveMode::metrics) {
-    const std::string line =
-        "\r\x1b[2K" + format_live_summary(done_);
+    const std::string line = "\r\x1b[2K" + format_totals(totals_);
     std::fwrite(line.data(), 1, line.size(), opts_.display);
     std::fflush(opts_.display);
     ticker_drawn_ = true;
   }
 }
 
-LiveLine BatchLiveReporter::totals() const {
+JobTotals BatchLiveReporter::totals() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return done_;
+  return totals_;
 }
 
 void BatchLiveReporter::finish() {
@@ -253,22 +108,18 @@ void BatchLiveReporter::finish() {
 // ---------------------------------------------------------------------------
 // FleetView
 
-FleetView::FleetView(int num_shards, FleetOptions opts)
-    : opts_(opts),
-      shards_(std::size_t(std::max(num_shards, 0))),
-      seen_(std::size_t(std::max(num_shards, 0)), false) {}
+FleetView::FleetView(std::size_t jobs_total, FleetOptions opts)
+    : opts_(opts) {
+  total_.jobs = jobs_total;
+}
 
-void FleetView::update(int shard, const LiveLine& line) {
+void FleetView::update(int shard, const runner::JobEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (shard < 0 || finished_) return;
-  if (std::size_t(shard) >= shards_.size()) {
-    // Re-dispatched shards get ids beyond the initial split; give them
-    // their own lane rather than dropping their totals.
-    shards_.resize(std::size_t(shard) + 1);
-    seen_.resize(std::size_t(shard) + 1, false);
-  }
-  shards_[std::size_t(shard)] = line;
-  seen_[std::size_t(shard)] = true;
+  if (finished_ || !folded_.insert(e.index).second) return;
+  total_.add(e);
+  JobTotals& lane = lanes_[shard];
+  lane.jobs = e.jobs;
+  lane.add(e);
   if (opts_.display == nullptr) return;
   const auto now = std::chrono::steady_clock::now();
   if (rendered_once_) {
@@ -280,55 +131,34 @@ void FleetView::update(int shard, const LiveLine& line) {
   render_locked();
 }
 
-LiveLine FleetView::merged() const {
+JobTotals FleetView::merged() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<LiveLine> seen;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (seen_[i]) seen.push_back(shards_[i]);
-  }
-  return merge_live_lines(seen);
+  return total_;
 }
 
 std::string FleetView::render_frame() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return render_frame_locked();
+}
+
+std::string FleetView::render_frame_locked() const {
   std::string out;
-  std::vector<LiveLine> seen;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out += strf("shard %-2zu  ", i);
-    out += seen_[i] ? format_live_summary(shards_[i])
-                    : std::string("(waiting)");
-    out += "\n";
-    if (seen_[i]) seen.push_back(shards_[i]);
+  for (const auto& [shard, lane] : lanes_) {
+    out += strf("shard %-2d  ", shard) + format_totals(lane) + "\n";
   }
-  out += "fleet     " + format_live_summary(merge_live_lines(seen)) + "\n";
+  out += "fleet     " + format_totals(total_) + "\n";
   return out;
 }
 
 void FleetView::render_locked() {
-  const std::string frame = render_frame();
-  int lines = 0;
-  for (const char ch : frame) lines += (ch == '\n') ? 1 : 0;
   std::string out;
   if (opts_.in_place) {
-    if (rendered_once_ && prev_frame_lines_ > 0) {
-      out += strf("\x1b[%dA", prev_frame_lines_);
-    }
-    std::size_t pos = 0;
-    while (pos < frame.size()) {
-      const std::size_t nl = frame.find('\n', pos);
-      out += "\x1b[2K";
-      out += frame.substr(pos, nl == std::string::npos ? std::string::npos
-                                                       : nl - pos + 1);
-      if (nl == std::string::npos) break;
-      pos = nl + 1;
-    }
-    prev_frame_lines_ = lines;
+    const std::string frame = render_frame_locked();
+    out = redraw_in_place(frame, rendered_once_ ? prev_frame_lines_ : 0);
+    prev_frame_lines_ = int(std::count(frame.begin(), frame.end(), '\n'));
   } else {
     // Non-TTY: one plain merged summary per refresh, no escapes.
-    std::vector<LiveLine> seen;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (seen_[i]) seen.push_back(shards_[i]);
-    }
-    out = "live: " + format_live_summary(merge_live_lines(seen)) + "\n";
+    out = "live: " + format_totals(total_) + "\n";
   }
   std::fwrite(out.data(), 1, out.size(), opts_.display);
   std::fflush(opts_.display);

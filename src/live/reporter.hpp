@@ -1,34 +1,31 @@
-// Batch- and fleet-level live reporting built on LiveMetrics /
-// LiveTimelineView:
+// Batch- and fleet-level live reporting, folded from job events
+// (runner/job_event.hpp):
 //
-//  * BatchLiveReporter — a runner::JobTraceObserver that attaches a
-//    LiveMetrics to every job of a batch, folds finished jobs into
-//    running totals, and surfaces them two ways: a human display on a
-//    TTY (the live timeline for the job currently holding the display
-//    slot, or a one-line metrics ticker), and machine-readable
-//    `##hlsprof-live` lines on a stream (the channel the shard
-//    coordinator aggregates, exactly like `##hlsprof-job` progress
-//    lines).
-//  * FleetView — the coordinator-side aggregator: one lane per shard
-//    plus a merged fleet total, redrawn in place on a TTY or emitted as
-//    throttled plain lines otherwise.
+//  * BatchLiveReporter — the human display of one batch run on a TTY:
+//    the live timeline of the job currently holding the display slot
+//    (fed by runner::BatchOptions::on_trace), or a one-line totals
+//    ticker updated as jobs finish (runner::BatchOptions::on_job_event).
+//  * FleetView — the coordinator-side view of a shard fleet: the job
+//    events the children print, one lane per shard plus a merged fleet
+//    total, redrawn in place on a TTY or emitted as throttled plain lines
+//    otherwise.
 //
 // Everything here is an *observer* of the canonical pipeline: reports,
 // Paraver traces, and exit codes are byte-identical with live reporting
 // on or off.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
-#include <vector>
 
-#include "live/metrics.hpp"
 #include "live/timeline.hpp"
-#include "runner/batch.hpp"
+#include "runner/job_event.hpp"
 
 namespace hlsprof::live {
 
@@ -36,84 +33,65 @@ enum class LiveMode { off, state, metrics };
 
 /// "state" / "metrics" → the mode; anything else returns false.
 bool parse_live_mode(const std::string& s, LiveMode* out);
-const char* live_mode_name(LiveMode m);
 
-/// One machine-readable live totals line (the `##hlsprof-live` channel).
-/// Fractions are aggregate state shares weighted by thread-cycles;
-/// `cycles` sums per-job timeline durations, `thread_cycles` sums
-/// duration*threads (the exact denominators, so merging lines from
-/// several shards loses nothing).
-struct LiveLine {
-  std::size_t jobs_done = 0;
-  std::size_t jobs_total = 0;
+/// Running totals over finished jobs. Exact integers, so totals of
+/// several processes add without loss.
+struct JobTotals {
+  std::size_t done = 0;
+  std::size_t jobs = 0;
   std::uint64_t cycles = 0;
-  std::uint64_t thread_cycles = 0;
-  double idle = 0.0;
-  double running = 0.0;
-  double critical = 0.0;
-  double spinning = 0.0;
-  double bw = 0.0;  // mean bytes/cycle over finished jobs
+  std::array<std::uint64_t, 4> state_cycles{};
+  std::uint64_t bytes = 0;
+
+  /// Count one finished job (does not touch `jobs`).
+  void add(const runner::JobEvent& e);
+  /// Share of the traced thread-cycles spent in state `s` (0 untraced).
+  double share(int s) const;
+  /// Traced DRAM bytes per simulated cycle.
+  double bandwidth() const;
 };
 
-inline constexpr const char* kLivePrefix = "##hlsprof-live ";
-
-std::string format_live_line(const LiveLine& l);
-/// Returns false (leaving *out untouched) unless `line` starts with
-/// kLivePrefix and every field parses.
-bool parse_live_line(const std::string& line, LiveLine* out);
-
 /// One-line human rendition ("jobs 3/16  cycles 123456  idle 12.5% ...").
-std::string format_live_summary(const LiveLine& l);
-
-/// Merge per-shard lines into fleet totals (thread-cycle-weighted
-/// fractions, cycle-weighted bandwidth).
-LiveLine merge_live_lines(const std::vector<LiveLine>& lines);
+std::string format_totals(const JobTotals& t);
 
 struct ReporterOptions {
-  LiveMode mode = LiveMode::off;  // what the human display shows
-  /// Human display stream (normally stderr when it is a TTY); null = no
+  LiveMode mode = LiveMode::off;  // what the display shows
+  /// Display stream (normally stderr when it is a TTY); null = no
   /// display. The timeline/ticker is drawn in place with ANSI escapes.
   std::FILE* display = nullptr;
   bool color = false;
-  /// Machine `##hlsprof-live` line stream (normally stdout under
-  /// --live-lines); one line per finished job. Null = off.
-  std::FILE* line_out = nullptr;
-  std::size_t jobs_total = 0;
   double refresh_hz = 10.0;
   int timeline_width = 72;
 };
 
-/// Thread-safe: begin_job/end_job arrive concurrently from batch worker
-/// threads. Record callbacks themselves stay lock-free on the worker —
-/// only job boundaries and display updates take the reporter lock.
-class BatchLiveReporter final : public runner::JobTraceObserver {
+/// Thread-safe: both entry points arrive concurrently from batch worker
+/// threads and take the reporter lock.
+class BatchLiveReporter {
  public:
   explicit BatchLiveReporter(ReporterOptions opts);
-  ~BatchLiveReporter() override;
+  ~BatchLiveReporter();
 
-  trace::RecordSink* begin_job(int index, const std::string& name,
-                               int num_threads,
-                               cycle_t sampling_period) override;
-  void end_job(int index, trace::RecordSink* sink, cycle_t run_end,
-               bool ok) override;
+  /// runner::BatchOptions::on_trace. In state mode the first job to
+  /// report while the display slot is free takes it, and its timeline is
+  /// redrawn from `b` until it finishes; other jobs are ignored here.
+  void on_trace(int index, const std::string& name,
+                const trace::TimedTraceBuilder& b);
+  /// runner::BatchOptions::on_job_event: fold the job into the totals,
+  /// release the display slot if it held it, redraw the ticker.
+  void on_job_event(const runner::JobEvent& e);
 
-  /// Current merged totals over finished jobs.
-  LiveLine totals() const;
+  JobTotals totals() const;
 
   /// Terminate the display (newline after an in-place ticker). Call once
   /// after the batch run returns.
   void finish();
 
  private:
-  struct JobSink;
-
   ReporterOptions opts_;
   mutable std::mutex mu_;
-  std::map<int, std::unique_ptr<JobSink>> active_;
+  std::unique_ptr<LiveTimelineView> view_;
   int display_owner_ = -1;  // job index holding the timeline slot
-  LiveLine done_;
-  std::array<std::uint64_t, 4> state_cycles_{};
-  std::uint64_t bytes_ = 0;
+  JobTotals totals_;
   bool ticker_drawn_ = false;
   bool finished_ = false;
 };
@@ -126,28 +104,32 @@ struct FleetOptions {
   double refresh_hz = 10.0;
 };
 
-/// Coordinator-side aggregation of per-shard `##hlsprof-live` lines.
-/// update() is thread-safe (shard reader threads call it directly).
+/// Coordinator-side fold of the job events of a shard fleet. Thread-safe.
 class FleetView {
  public:
-  FleetView(int num_shards, FleetOptions opts);
+  FleetView(std::size_t jobs_total, FleetOptions opts);
 
-  /// Record shard `shard`'s latest totals line and (throttled) redraw.
-  void update(int shard, const LiveLine& line);
+  /// Fold a job event shard `shard` reported and (throttled) redraw. A
+  /// job index already folded — a re-dispatched shard or a speculative
+  /// backup announcing it again — is ignored: the first copy wins, the
+  /// rule runner::merge_job_results applies to reports.
+  void update(int shard, const runner::JobEvent& e);
 
-  LiveLine merged() const;
+  JobTotals merged() const;
   /// Per-shard lanes plus the fleet total, as plain lines (tests).
   std::string render_frame() const;
   /// Final redraw + release of the in-place frame.
   void finish();
 
  private:
+  std::string render_frame_locked() const;
   void render_locked();
 
   FleetOptions opts_;
   mutable std::mutex mu_;
-  std::vector<LiveLine> shards_;
-  std::vector<bool> seen_;
+  std::map<int, JobTotals> lanes_;  // per shard: the jobs it reported first
+  JobTotals total_;
+  std::set<int> folded_;  // job indices in total_
   int prev_frame_lines_ = 0;
   bool finished_ = false;
   std::chrono::steady_clock::time_point last_render_{};

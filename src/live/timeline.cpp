@@ -10,13 +10,29 @@ namespace hlsprof::live {
 
 using sim::ThreadState;
 
+std::string redraw_in_place(const std::string& frame, int prev_lines) {
+  std::string out;
+  if (prev_lines > 0) out += strf("\x1b[%dA", prev_lines);
+  std::size_t pos = 0;
+  while (pos < frame.size()) {
+    const std::size_t nl = frame.find('\n', pos);
+    out += "\x1b[2K";
+    out += frame.substr(pos, nl == std::string::npos ? std::string::npos
+                                                     : nl - pos + 1);
+    if (nl == std::string::npos) break;
+    pos = nl + 1;
+  }
+  return out;
+}
+
 LiveTimelineView::LiveTimelineView(int num_threads, TimelineOptions opts)
     : num_threads_(num_threads),
       opts_(std::move(opts)),
       span_(opts_.initial_span),
       buckets_(std::size_t(num_threads),
                std::vector<std::array<cycle_t, 4>>(std::size_t(opts_.width))),
-      cur_(std::size_t(num_threads), 0 /*idle*/) {
+      seen_(std::size_t(num_threads), 0),
+      charged_(std::size_t(num_threads), 0) {
   HLSPROF_CHECK(num_threads >= 1, "LiveTimelineView needs >= 1 thread");
   HLSPROF_CHECK(opts_.width >= 2, "LiveTimelineView needs width >= 2");
   HLSPROF_CHECK(opts_.initial_span >= 1,
@@ -42,46 +58,39 @@ void LiveTimelineView::compact_to_fit(cycle_t t) {
   }
 }
 
-void LiveTimelineView::advance(cycle_t t) {
-  if (t <= last_t_) return;
-  compact_to_fit(t);
-  // Charge [last_t_, t) to the columns it crosses, at each thread's
-  // current state.
-  cycle_t c = last_t_;
-  while (c < t) {
+void LiveTimelineView::charge(std::size_t k, ThreadState state, cycle_t from,
+                              cycle_t to) {
+  cycle_t c = std::max(from, charged_[k]);
+  if (to <= c) return;
+  charged_[k] = to;
+  while (c < to) {
     const cycle_t col = c / span_;
-    const cycle_t col_end = (col + 1) * span_;
-    const cycle_t step = std::min(t, col_end) - c;
+    const cycle_t step = std::min(to, (col + 1) * span_) - c;
     const std::size_t ci =
         std::min(std::size_t(col), std::size_t(opts_.width) - 1);
-    for (int k = 0; k < num_threads_; ++k) {
-      buckets_[std::size_t(k)][ci][cur_[std::size_t(k)] & 3] += step;
-    }
+    buckets_[k][ci][std::size_t(state) & 3] += step;
     c += step;
   }
-  last_t_ = t;
 }
 
-void LiveTimelineView::on_state(const trace::StateRecord& r, cycle_t t) {
-  HLSPROF_CHECK(static_cast<int>(r.states.size()) == num_threads_,
-                "state record thread count mismatch");
-  ++records_;
-  if (!have_any_) {
-    have_any_ = true;
-    last_t_ = t;
-    compact_to_fit(t);
-  } else {
-    advance(t);
+void LiveTimelineView::update(const trace::TimedTraceBuilder& b) {
+  HLSPROF_CHECK(b.num_threads() == num_threads_,
+                "LiveTimelineView: builder thread count mismatch");
+  if (!b.started()) return;
+  const cycle_t now = std::max(last_t_, b.last_clock());
+  compact_to_fit(now);
+  for (std::size_t k = 0; k < std::size_t(num_threads_); ++k) {
+    const std::vector<trace::StateInterval>& closed =
+        b.closed_intervals()[k];
+    for (; seen_[k] < closed.size(); ++seen_[k]) {
+      const trace::StateInterval& iv = closed[seen_[k]];
+      charge(k, iv.state, iv.begin, iv.end);
+    }
+    const auto tid = thread_id_t(k);
+    charge(k, b.open_state(tid), b.open_since(tid), now);
   }
-  for (int k = 0; k < num_threads_; ++k) {
-    cur_[std::size_t(k)] = r.states[std::size_t(k)];
-  }
-  maybe_render();
-}
-
-void LiveTimelineView::on_event(const trace::EventRecord&, cycle_t t) {
-  ++records_;
-  advance(t);
+  have_any_ = true;
+  last_t_ = now;
   maybe_render();
 }
 
@@ -126,8 +135,6 @@ std::string LiveTimelineView::render_frame() const {
 
 void LiveTimelineView::maybe_render() {
   if (opts_.out == nullptr || finished_) return;
-  // Cheap gate: look at the clock only every few records.
-  if (records_ % 32 != 0) return;
   const auto now = std::chrono::steady_clock::now();
   if (frames_ > 0) {
     const double min_gap =
@@ -141,26 +148,11 @@ void LiveTimelineView::maybe_render() {
 
 void LiveTimelineView::render() {
   const std::string frame = render_frame();
-  int lines = 0;
-  for (const char ch : frame) lines += (ch == '\n') ? 1 : 0;
-  std::string out;
-  if (frames_ > 0 && prev_frame_lines_ > 0) {
-    // Redraw in place: cursor up over the previous frame, erasing each
-    // line as it is rewritten.
-    out += strf("\x1b[%dA", prev_frame_lines_);
-  }
-  std::size_t pos = 0;
-  while (pos < frame.size()) {
-    const std::size_t nl = frame.find('\n', pos);
-    out += "\x1b[2K";
-    out += frame.substr(pos, nl == std::string::npos ? std::string::npos
-                                                     : nl - pos + 1);
-    if (nl == std::string::npos) break;
-    pos = nl + 1;
-  }
+  const std::string out =
+      redraw_in_place(frame, frames_ > 0 ? prev_frame_lines_ : 0);
   std::fwrite(out.data(), 1, out.size(), opts_.out);
   std::fflush(opts_.out);
-  prev_frame_lines_ = lines;
+  prev_frame_lines_ = int(std::count(frame.begin(), frame.end(), '\n'));
   ++frames_;
 }
 

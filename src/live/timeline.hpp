@@ -1,15 +1,15 @@
 // Live ANSI timeline: an in-place terminal rendering of the per-thread
-// state view that updates *while the run executes*, fed by the same
-// decoded record stream the canonical TimedTraceBuilder consumes. One
-// lane per hardware thread, one character per time column using the
-// shared paraver/ascii legend ('.' Idle, '#' Running, 'C' Critical,
-// 'S' Spinning). Columns cover a fixed cycle span each; when the run
-// outgrows the view, adjacent column pairs are merged and the span
-// doubles, so the whole run always fits the terminal width — the live
-// analogue of Paraver's zoom-to-fit.
+// state view that updates *while the run executes*, read from the run's
+// canonical trace::TimedTraceBuilder between flush bursts (the
+// core::RunOptions::trace_progress hook). One lane per hardware thread,
+// one character per time column using the shared paraver/ascii legend
+// ('.' Idle, '#' Running, 'C' Critical, 'S' Spinning). Columns cover a
+// fixed cycle span each; when the run outgrows the view, adjacent column
+// pairs are merged and the span doubles, so the whole run always fits
+// the terminal width — the live analogue of Paraver's zoom-to-fit.
 //
 // Rendering is throttled (default ~10 Hz) and strictly single-writer:
-// records arrive from the worker thread running the simulation and
+// update() is called from the worker thread running the simulation and
 // frames are written from that same thread. With a null output stream
 // nothing is ever auto-rendered (render_frame() still works — the form
 // the tests use).
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "trace/streaming.hpp"
+#include "trace/timed_trace.hpp"
 
 namespace hlsprof::live {
 
@@ -36,13 +36,20 @@ struct TimelineOptions {
   std::string label;
 };
 
-class LiveTimelineView final : public trace::RecordSink {
+/// ANSI for drawing `frame` over the previous frame of `prev_lines`
+/// lines: cursor up, then each line erased as it is rewritten.
+std::string redraw_in_place(const std::string& frame, int prev_lines);
+
+class LiveTimelineView {
  public:
   explicit LiveTimelineView(int num_threads,
                             TimelineOptions opts = TimelineOptions{});
 
-  void on_state(const trace::StateRecord& r, cycle_t t) override;
-  void on_event(const trace::EventRecord& r, cycle_t t) override;
+  /// Bucket what `b` folded since the previous call — intervals it has
+  /// closed, and each thread's open state up to its latest record clock
+  /// — then render a frame if one is due. Pass the same builder every
+  /// time.
+  void update(const trace::TimedTraceBuilder& b);
 
   /// Render the final frame (if an output stream is set). Idempotent.
   void finish();
@@ -53,10 +60,11 @@ class LiveTimelineView final : public trace::RecordSink {
 
   cycle_t span() const { return span_; }
   cycle_t last_clock() const { return last_t_; }
-  int frames_rendered() const { return frames_; }
 
  private:
-  void advance(cycle_t t);
+  /// Add [from, to) of thread k in `state` to the columns it crosses,
+  /// skipping cycles already charged to that thread.
+  void charge(std::size_t k, sim::ThreadState state, cycle_t from, cycle_t to);
   void compact_to_fit(cycle_t t);
   void maybe_render();
   void render();
@@ -66,10 +74,10 @@ class LiveTimelineView final : public trace::RecordSink {
   cycle_t span_;
   // buckets_[thread][column][state] = cycles.
   std::vector<std::vector<std::array<cycle_t, 4>>> buckets_;
-  std::vector<std::uint8_t> cur_;  // current 2-bit state code per thread
+  std::vector<std::size_t> seen_;  // closed intervals bucketed, per thread
+  std::vector<cycle_t> charged_;   // cycle each thread is bucketed up to
   bool have_any_ = false;
   cycle_t last_t_ = 0;
-  long long records_ = 0;
   int frames_ = 0;
   int prev_frame_lines_ = 0;
   bool finished_ = false;

@@ -1,5 +1,6 @@
 #include "runner/batch.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -52,20 +53,24 @@ void fill_metrics(JobResult& out, const core::Session& session,
     const auto oh = session.overhead();
     out.overhead_alm_pct = oh.alm_pct;
     out.overhead_register_pct = oh.register_pct;
+    for (int st = 0; st < 4; ++st) {
+      out.state_cycles[std::size_t(st)] =
+          r.timeline.state_cycles(sim::ThreadState(st));
+    }
+    out.trace_dram_bytes =
+        r.timeline.event_total(trace::EventKind::bytes_read) +
+        r.timeline.event_total(trace::EventKind::bytes_written);
   }
 }
 
 JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
-                  DesignCache& cache, JobTraceObserver* observer) {
+                  DesignCache& cache, const BatchOptions& options) {
   auto& reg = telemetry::Registry::global();
   telemetry::Span span(reg, "job:" + spec.name, "runner");
   JobResult out;
   out.index = index;
   out.name = spec.name;
   out.seed = seed;
-  trace::RecordSink* live = nullptr;
-  bool observed = false;
-  cycle_t observed_end = 0;
   const auto t0 = Clock::now();
   try {
     HLSPROF_CHECK(spec.kernel != nullptr, "JobSpec '" + spec.name +
@@ -80,19 +85,17 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
 
     core::RunOptions opts = spec.run;
     if (spec.max_cycles != 0) opts.sim.max_cycles = spec.max_cycles;
-    if (observer != nullptr) {
-      live = observer->begin_job(index, spec.name,
-                                 entry.design->kernel.num_threads,
-                                 opts.profiling.sampling_period);
-      observed = true;
-      opts.live_sink = live;
+    if (options.on_trace) {
+      opts.trace_progress = [&options, index,
+                             &spec](const trace::TimedTraceBuilder& b) {
+        options.on_trace(index, spec.name, b);
+      };
     }
 
     core::Session session(entry.design, opts);
     HostBuffers buffers;
     if (spec.bind) spec.bind(session, buffers, rng);
     const core::RunResult r = session.run();
-    observed_end = r.timeline.duration;
     fill_metrics(out, session, r);
     if (spec.check) spec.check(r, buffers);
     out.status = JobStatus::ok;
@@ -108,10 +111,6 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
       out.wall_ms > spec.soft_timeout_ms) {
     out.status = JobStatus::timed_out;
     out.error = "exceeded soft wall-clock budget";
-  }
-  if (observed) {
-    observer->end_job(index, live, observed_end,
-                      out.status == JobStatus::ok);
   }
   if (reg.enabled()) {
     reg.counter("runner.jobs").add(1);
@@ -131,6 +130,14 @@ const char* job_status_name(JobStatus s) {
     case JobStatus::timed_out: return "timed_out";
   }
   return "?";
+}
+
+std::optional<JobStatus> job_status_from_name(const std::string& name) {
+  for (JobStatus s :
+       {JobStatus::ok, JobStatus::failed, JobStatus::timed_out}) {
+    if (name == job_status_name(s)) return s;
+  }
+  return std::nullopt;
 }
 
 int BatchResult::count(JobStatus s) const {
@@ -196,7 +203,20 @@ BatchResult Batch::run(const BatchOptions& options) const {
   const CacheStats before = cache.stats();
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto& on_done = options.on_job_done;
+  // Runs job k of the selection into its slot, then announces it.
+  std::atomic<std::size_t> done{0};
+  const auto run_one = [&](std::size_t k) {
+    const int i = indices[k];
+    const JobSpec& spec = jobs_[std::size_t(i)];
+    const std::uint64_t seed =
+        spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
+    result.jobs[k] = run_job(spec, i, seed, cache, options);
+    if (options.on_job_event) {
+      options.on_job_event(
+          make_job_event(result.jobs[k], done.fetch_add(1) + 1,
+                         indices.size()));
+    }
+  };
   if (options.pool != nullptr) {
     // Shared-pool mode: the pool serves other batches too, so Pool::wait()
     // (which waits for global idleness) is wrong — track completion of
@@ -207,16 +227,8 @@ BatchResult Batch::run(const BatchOptions& options) const {
       std::size_t n;
     } remaining{{}, {}, indices.size()};
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      const int i = indices[k];
-      const JobSpec& spec = jobs_[std::size_t(i)];
-      JobResult& slot = result.jobs[k];
-      const std::uint64_t seed =
-          spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
-      JobTraceObserver* observer = options.observer;
-      options.pool->submit([&spec, &slot, &cache, &remaining, &on_done,
-                            observer, i, seed] {
-        slot = run_job(spec, i, seed, cache, observer);
-        if (on_done) on_done(slot);
+      options.pool->submit([&run_one, &remaining, k] {
+        run_one(k);
         std::lock_guard<std::mutex> lock(remaining.mu);
         if (--remaining.n == 0) remaining.cv.notify_all();
       });
@@ -226,16 +238,7 @@ BatchResult Batch::run(const BatchOptions& options) const {
   } else {
     Pool pool(result.workers);
     for (std::size_t k = 0; k < indices.size(); ++k) {
-      const int i = indices[k];
-      const JobSpec& spec = jobs_[std::size_t(i)];
-      JobResult& slot = result.jobs[k];
-      const std::uint64_t seed =
-          spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
-      JobTraceObserver* observer = options.observer;
-      pool.submit([&spec, &slot, &cache, &on_done, observer, i, seed] {
-        slot = run_job(spec, i, seed, cache, observer);
-        if (on_done) on_done(slot);
-      });
+      pool.submit([&run_one, k] { run_one(k); });
     }
     pool.wait();
   }

@@ -7,34 +7,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "runner/design_cache.hpp"
 #include "runner/job.hpp"
+#include "runner/job_event.hpp"
 #include "runner/pool.hpp"
-#include "trace/streaming.hpp"
 
 namespace hlsprof::runner {
-
-/// Observer of each job's decoded trace stream, for live progress /
-/// metrics reporting (src/live). begin_job runs on the worker thread
-/// right after the design is resolved (so the observer knows the thread
-/// count and sampling period); the returned sink — null to observe
-/// nothing for this job — receives that job's records via
-/// core::RunOptions::live_sink; end_job runs on the same worker thread
-/// after the run (run_end = the timeline duration on success, 0 on
-/// failure). Calls for different jobs arrive concurrently from different
-/// workers; the observer locks its own shared state. Canonical report
-/// bytes are identical with or without an observer.
-class JobTraceObserver {
- public:
-  virtual ~JobTraceObserver() = default;
-  virtual trace::RecordSink* begin_job(int index, const std::string& name,
-                                       int num_threads,
-                                       cycle_t sampling_period) = 0;
-  virtual void end_job(int index, trace::RecordSink* sink, cycle_t run_end,
-                       bool ok) = 0;
-};
 
 struct BatchOptions {
   /// 0 = one worker per hardware thread. Ignored when `pool` is set.
@@ -68,12 +49,17 @@ struct BatchOptions {
   /// BatchResult::jobs then holds exactly the selected jobs, in index
   /// order. Empty = run everything.
   std::vector<int> select;
-  /// Called once per finished job, from the worker thread that ran it
-  /// (concurrently across jobs — the callback must lock its own state).
-  /// Drives live progress reporting; null = off.
-  std::function<void(const JobResult&)> on_job_done;
-  /// Live trace observer (see JobTraceObserver); null = off.
-  JobTraceObserver* observer = nullptr;
+  /// Called once per finished job with its job event (job_event.hpp;
+  /// `done` counts this run's finished jobs, `jobs` its selection), from
+  /// the worker thread that ran it — concurrently across jobs, so the
+  /// callback must lock its own state. Null = off.
+  std::function<void(const JobEvent&)> on_job_event;
+  /// Live view of each running job's timeline fold: installed as the
+  /// job's core::RunOptions::trace_progress with the job index and name
+  /// bound. Called on the job's worker thread. Null = off.
+  std::function<void(int index, const std::string& name,
+                     const trace::TimedTraceBuilder&)>
+      on_trace;
 };
 
 struct BatchResult {

@@ -5,9 +5,11 @@
 // record the JSON/CSV layer serializes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,6 +100,8 @@ struct JobSpec {
 enum class JobStatus { ok, failed, timed_out };
 
 const char* job_status_name(JobStatus s);
+/// Inverse of job_status_name; nullopt for anything else.
+std::optional<JobStatus> job_status_from_name(const std::string& name);
 
 /// Flattened per-job record. Everything here is deterministic except
 /// wall_ms and cache_hit (which job of several sharing a design performs
@@ -144,6 +148,11 @@ struct JobResult {
   std::uint64_t peak_trace_buffer_bytes = 0;
   double overhead_alm_pct = 0.0;
   double overhead_register_pct = 0.0;
+  // Exact trace totals for the job event (job_event.hpp); not part of
+  // the report. Thread-cycles per state (idle, running, critical,
+  // spinning) and traced DRAM bytes read + written.
+  std::array<std::uint64_t, 4> state_cycles{};
+  std::uint64_t trace_dram_bytes = 0;
 };
 
 }  // namespace hlsprof::runner

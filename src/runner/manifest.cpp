@@ -355,7 +355,13 @@ ManifestRun parse_manifest(const std::string& text) {
   ManifestRun run;
   run.label = scalar(keys, "label", workload);
   run.out_prefix = scalar(keys, "out", "");
-  run.options.workers = int(parse_int("workers", scalar(keys, "workers", "0")));
+  const std::int64_t workers =
+      parse_int("workers", scalar(keys, "workers", "0"));
+  if (workers < 0) {
+    fail(at(keys.at("workers").line) + "key 'workers': must be >= 0 (got " +
+         std::to_string(workers) + ")");
+  }
+  run.options.workers = int(workers);
   run.options.seed =
       std::uint64_t(parse_int("seed", scalar(keys, "seed", "1")));
   run.options.cache_dir = scalar(keys, "cache_dir", "");

@@ -85,6 +85,7 @@ std::size_t Pool::pending() const {
 
 int Pool::resolve_workers(int requested) {
   if (requested > 0) return requested;
+  if (requested < 0) return 1;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? int(hw) : 1;
 }

@@ -55,8 +55,8 @@ class Pool {
   /// Tasks submitted but not yet picked up by a worker (point-in-time).
   std::size_t pending() const;
 
-  /// Pick a worker count: `requested` if > 0, else the hardware
-  /// concurrency (at least 1).
+  /// Pick a worker count: `requested` if > 0, the hardware concurrency
+  /// (at least 1) for 0, and 1 for a negative request.
   static int resolve_workers(int requested);
 
  private:

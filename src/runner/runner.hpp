@@ -1,9 +1,10 @@
 // Umbrella header for the batch-experiment runner: a worker-pool
 // scheduler (pool.hpp), a content-addressed design cache
 // (design_cache.hpp), the batch API with deterministic per-job seeding
-// (job.hpp, batch.hpp), JSON/CSV reporting (report.hpp), the sweep
-// manifest format behind the `hlsprof-run` CLI (manifest.hpp), and the
-// multi-process shard coordinator (shard.hpp).
+// (job.hpp, batch.hpp), the per-job event line (job_event.hpp),
+// JSON/CSV reporting (report.hpp), the sweep manifest format behind the
+// `hlsprof-run` CLI (manifest.hpp), and the multi-process shard
+// coordinator (shard.hpp).
 //
 //   runner::Batch batch;
 //   for (int threads : {1, 2, 4, 8, 16}) {
@@ -24,6 +25,7 @@
 #include "runner/batch.hpp"
 #include "runner/design_cache.hpp"
 #include "runner/job.hpp"
+#include "runner/job_event.hpp"
 #include "runner/manifest.hpp"
 #include "runner/pool.hpp"
 #include "runner/report.hpp"

@@ -37,8 +37,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kProgressPrefix = "##hlsprof-job ";
-
 /// Key of a `key = value` manifest line; empty for blanks and comments.
 std::string line_key(const std::string& line) {
   const std::string t = trim(line);
@@ -65,10 +63,7 @@ const JsonValue& need(const JsonValue& obj, const char* key) {
 }
 
 JobStatus status_from_name(const std::string& name) {
-  for (JobStatus s :
-       {JobStatus::ok, JobStatus::failed, JobStatus::timed_out}) {
-    if (name == job_status_name(s)) return s;
-  }
+  if (const auto s = job_status_from_name(name)) return *s;
   fail("shard: report has unknown job status \"" + name + "\"");
 }
 
@@ -231,71 +226,6 @@ BatchResult merge_job_results(
   return merged;
 }
 
-std::string format_progress_line(const JobResult& job) {
-  return strf("%sindex=%d status=%s cycles=%llu running=%.3f spinning=%.3f "
-              "name=%s",
-              kProgressPrefix, job.index, job_status_name(job.status),
-              static_cast<unsigned long long>(job.total_cycles),
-              job.state_running, job.state_spinning, job.name.c_str());
-}
-
-bool parse_progress_line(const std::string& line, ProgressLine* out) {
-  const std::string t = trim(line);
-  if (!starts_with(t, kProgressPrefix)) return false;
-  const auto idx_at = t.find("index=");
-  const auto status_at = t.find(" status=");
-  const auto name_at = t.find(" name=");
-  if (idx_at == std::string::npos || status_at == std::string::npos ||
-      name_at == std::string::npos || status_at < idx_at ||
-      name_at < status_at) {
-    return false;
-  }
-  ProgressLine p;
-  try {
-    p.index = std::stoi(t.substr(idx_at + 6, status_at - (idx_at + 6)));
-  } catch (const std::exception&) {
-    return false;
-  }
-  // Status runs to the first space, so lines with or without the metric
-  // fields both parse.
-  const auto status_end = t.find(' ', status_at + 8);
-  if (status_end == std::string::npos || status_end > name_at) return false;
-  p.status = t.substr(status_at + 8, status_end - (status_at + 8));
-  p.name = t.substr(name_at + 6);  // the name runs to end of line
-  // Optional metric fields between status and name.
-  const std::string mid = t.substr(status_end, name_at - status_end);
-  const auto field = [&mid](const char* key) -> std::string {
-    const std::string needle = std::string(" ") + key + "=";
-    const auto at = mid.find(needle);
-    if (at == std::string::npos) return std::string();
-    const auto start = at + needle.size();
-    const auto end = mid.find(' ', start);
-    return mid.substr(start,
-                      end == std::string::npos ? std::string::npos
-                                               : end - start);
-  };
-  const std::string cycles = field("cycles");
-  if (!cycles.empty()) {
-    p.cycles = std::strtoull(cycles.c_str(), nullptr, 10);
-  }
-  const std::string running = field("running");
-  if (!running.empty()) p.running = std::strtod(running.c_str(), nullptr);
-  const std::string spinning = field("spinning");
-  if (!spinning.empty()) p.spinning = std::strtod(spinning.c_str(), nullptr);
-  *out = p;
-  return true;
-}
-
-bool parse_progress_line(const std::string& line, int* index,
-                         std::string* status, std::string* name) {
-  ProgressLine p;
-  if (!parse_progress_line(line, &p)) return false;
-  *index = p.index;
-  *status = p.status;
-  *name = p.name;
-  return true;
-}
-
 namespace {
 
 struct Event {
@@ -303,7 +233,8 @@ struct Event {
   Kind kind = Kind::job_done;
   int shard = 0;
   // job_done
-  ProgressLine job;
+  std::string line;
+  JobEvent job;
   // shard_exit
   bool ok = false;
   std::string report;  // canonical report JSON when ok
@@ -572,7 +503,6 @@ void Coordinator::launch_process_shard(Shard& s) {
     args.push_back("--telemetry-out=" + opt_.child_telemetry_prefix +
                    std::to_string(s.id) + ".json");
   }
-  if (opt_.child_live_lines) args.push_back("--live-lines");
   if (!opt_.chrome_trace_out.empty()) {
     s.chrome_path =
         (fs::path(tmpdir_) / strf("shard-%d.trace.json", s.id)).string();
@@ -615,13 +545,10 @@ void Coordinator::launch_process_shard(Shard& s) {
         Event e;
         e.kind = Event::Kind::job_done;
         e.shard = shard_id;
-        if (parse_progress_line(raw, &e.job)) {
+        // Anything that is not a job event is stdout chatter: ignored.
+        if (parse_job_event(raw, &e.job)) {
+          e.line = trim(raw);
           push(std::move(e));
-        } else if (opt_.on_child_line) {
-          // Other machine lines (##hlsprof-live ...) feed the fleet live
-          // view directly from this reader thread.
-          const std::string t = trim(raw);
-          if (starts_with(t, "##hlsprof-")) opt_.on_child_line(shard_id, t);
         }
       }
       std::free(line);
@@ -768,10 +695,11 @@ void Coordinator::handle_event(const Event& e) {
     handle_exit(e);
     return;
   }
-  progressed_.insert(e.job.index);
+  if (!progressed_.insert(e.job.index).second) return;
+  if (opt_.on_job_event) opt_.on_job_event(e.shard, e.line, e.job);
   if (!opt_.quiet) {
     progress_.note(strf("hlsprof-run: [shard %d] %s %s (%zu/%zu)", e.shard,
-                        e.job.name.c_str(), e.job.status.c_str(),
+                        e.job.name.c_str(), job_status_name(e.job.status),
                         progressed_.size(), universe_.size()));
   }
 }

@@ -117,14 +117,13 @@ struct ShardOptions {
   /// thread. Null = write batches to stderr.
   std::function<void(const std::string& lines)> emit_progress;
 
-  /// Process mode: pass --live-lines to every shard child so it emits
-  /// `##hlsprof-live` totals lines on its progress pipe (the fleet live
-  /// view's feed).
-  bool child_live_lines = false;
-  /// Called from shard *reader threads* with every non-progress
-  /// `##hlsprof-` line a child printed (i.e. `##hlsprof-live` lines
-  /// under child_live_lines). The receiver must do its own locking.
-  std::function<void(int shard, const std::string& line)> on_child_line;
+  /// Process mode: called on the coordinator thread with the job events
+  /// shard children print (their --progress stream), the raw line
+  /// included, so a caller can forward it unchanged or fold it. Only the
+  /// first copy of each job index is passed on: a re-dispatched or
+  /// speculative shard re-announcing a job is dropped here.
+  std::function<void(int shard, const std::string& line, const JobEvent& e)>
+      on_job_event;
 
   /// Non-empty, process mode: every shard child additionally writes a
   /// Chrome/Perfetto trace of its own telemetry, and the coordinator
@@ -200,27 +199,5 @@ std::vector<JobResult> parse_report_jobs(const std::string& report_json_text);
 BatchResult merge_job_results(
     const std::vector<std::vector<JobResult>>& per_shard,
     const std::vector<int>& expected_indices, int* duplicates = nullptr);
-
-/// The per-job progress line a shard child emits on stdout under
-/// --progress and the coordinator's parser for it. Format:
-///   ##hlsprof-job index=I status=S cycles=N running=F spinning=F name=N...
-/// (name extends to end of line; it may contain spaces). The metric
-/// fields carry the job's live summary — cycle count and running /
-/// spinning state shares — so the coordinator can show per-job metrics
-/// without waiting for the shard's report. The parser accepts lines
-/// without them (older children), leaving the metrics zero.
-struct ProgressLine {
-  int index = -1;
-  std::string status;
-  std::string name;
-  std::uint64_t cycles = 0;
-  double running = 0.0;
-  double spinning = 0.0;
-};
-std::string format_progress_line(const JobResult& job);
-bool parse_progress_line(const std::string& line, ProgressLine* out);
-/// Compatibility form: index/status/name only.
-bool parse_progress_line(const std::string& line, int* index,
-                         std::string* status, std::string* name);
 
 }  // namespace hlsprof::runner

@@ -96,7 +96,8 @@ Response Client::submit(const std::string& manifest_text,
 
 Response Client::submit_watch(
     const std::string& manifest_text,
-    const std::function<void(const Response&)>& on_event,
+    const std::function<void(const std::string&, const runner::JobEvent&)>&
+        on_event,
     const std::string& client, int priority, std::uint64_t id) {
   Request r;
   r.op = Request::Op::submit;
@@ -118,9 +119,10 @@ Response Client::submit_watch(
     off += std::size_t(n);
   }
   for (;;) {
-    Response resp = parse_response(read_line());
-    if (resp.event.empty()) return resp;
-    if (on_event) on_event(resp);
+    const std::string reply = read_line();
+    runner::JobEvent event;
+    if (!runner::parse_job_event(reply, &event)) return parse_response(reply);
+    if (on_event) on_event(reply, event);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "runner/job_event.hpp"
 #include "serve/protocol.hpp"
 
 namespace hlsprof::serve {
@@ -56,12 +57,14 @@ class Client {
   /// Convenience wrappers; `id` is echoed back by the daemon.
   Response submit(const std::string& manifest_text, const std::string& client,
                   int priority = 0, std::uint64_t id = 0);
-  /// Watch submit: streams per-job progress. `on_event` runs once per
-  /// progress event (Response::event == "progress"), in arrival order on
-  /// the calling thread; the returned Response is the final one (its
-  /// `event` is empty). Blocks like submit().
+  /// Watch submit: streams one job event per finished job. `on_event`
+  /// runs once per event, in arrival order on the calling thread, with
+  /// the raw line and its parse; the returned Response is the final one.
+  /// Blocks like submit().
   Response submit_watch(const std::string& manifest_text,
-                        const std::function<void(const Response&)>& on_event,
+                        const std::function<void(const std::string& line,
+                                                 const runner::JobEvent&)>&
+                            on_event,
                         const std::string& client, int priority = 0,
                         std::uint64_t id = 0);
   Response metrics(std::uint64_t id = 0);

@@ -147,23 +147,6 @@ std::string shutdown_response(std::uint64_t id) {
   return w.str();
 }
 
-std::string progress_event(std::uint64_t id, int done, int jobs, int index,
-                           const std::string& status,
-                           const std::string& name) {
-  JsonWriter w;
-  w.begin_object();
-  w.field("id", id);
-  w.field("ok", true);
-  w.field("event", "progress");
-  w.field("done", done);
-  w.field("jobs", jobs);
-  w.field("index", index);
-  w.field("status", status);
-  w.field("name", name);
-  w.end_object();
-  return w.str();
-}
-
 Response parse_response(const std::string& line) {
   const JsonValue v = json_parse(line);
   if (!v.is_object()) fail("protocol: response is not a JSON object");
@@ -183,11 +166,6 @@ Response parse_response(const std::string& line) {
   out.build = opt_str(v, "build", "");
   const JsonValue* draining = v.find("draining");
   out.draining = draining != nullptr && draining->as_bool();
-  out.event = opt_str(v, "event", "");
-  out.done = opt_int(v, "done", 0);
-  out.index = opt_int(v, "index", -1);
-  out.status = opt_str(v, "status", "");
-  out.name = opt_str(v, "name", "");
   return out;
 }
 

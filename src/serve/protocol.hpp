@@ -7,18 +7,19 @@
 // Requests (client -> daemon):
 //   {"op":"submit","id":7,"client":"ci-1","priority":0,
 //    "manifest":"workload = pi\n..."}
-//   {"op":"submit","id":7,"watch":true,...}   -- stream progress events
+//   {"op":"submit","id":7,"watch":true,...}   -- stream job events
 //   {"op":"metrics","id":8}
 //   {"op":"ping","id":9}
 //   {"op":"shutdown","id":10}
 //
-// A watch submit additionally streams one progress event per finished
-// job BEFORE the final submit response (same "id", "event":"progress"):
-//   {"id":7,"ok":true,"event":"progress","done":2,"jobs":3,"index":1,
-//    "status":"ok","name":"pi n=1000000"}
+// A watch submit additionally streams one job event per finished job
+// BEFORE the final submit response: the runner's job-event line
+// (runner/job_event.hpp) with the request's "id" added, e.g.
+//   {"id":7,"event":"job","index":1,"status":"ok","name":"pi n=1000000",
+//    "cycles":231072,"threads":8,"state_cycles":[7210,1702113,0,39253],
+//    "bytes":95488,"done":2,"jobs":3}
 // Clients not watching never see events; a pipelining client matches
-// them by "id" like any response and keeps reading until the line
-// without "event".
+// them by "id" and keeps reading until a line that is not a job event.
 //
 // Responses (daemon -> client) always carry the request's "id" and "ok":
 //   submit ok:  {"id":7,"ok":true,"label":"pi","jobs":3,"ok_jobs":3,
@@ -55,8 +56,8 @@ struct Request {
   int priority = 0;
   /// submit only: manifest text (the same format hlsprof-run reads).
   std::string manifest;
-  /// submit only: stream per-job progress events before the final
-  /// response (the --watch channel).
+  /// submit only: stream one job event per finished job before the
+  /// final response (the --watch channel).
   bool watch = false;
 };
 
@@ -79,11 +80,6 @@ std::string metrics_response(std::uint64_t id,
                              const std::string& snapshot_json);
 std::string ping_response(std::uint64_t id, const std::string& build);
 std::string shutdown_response(std::uint64_t id);
-/// One per-job progress event of a watch submit (never the final word on
-/// a request — a submit_ok/error response always follows).
-std::string progress_event(std::uint64_t id, int done, int jobs, int index,
-                           const std::string& status,
-                           const std::string& name);
 
 /// Parsed response, client side. Exactly the fields of the wire format;
 /// absent fields are empty/zero.
@@ -100,13 +96,6 @@ struct Response {
   std::string metrics;    // full snapshot JSON (metrics op)
   std::string build;      // build stamp (ping op)
   bool draining = false;  // shutdown op
-  /// Non-empty for streamed events ("progress"); the final response of a
-  /// request never carries it.
-  std::string event;
-  int done = 0;       // progress: jobs finished so far
-  int index = -1;     // progress: the finished job's original index
-  std::string status; // progress: job status name
-  std::string name;   // progress: job name
 };
 
 /// Parse one response line. Throws hlsprof::Error on malformed JSON.

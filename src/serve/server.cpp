@@ -5,13 +5,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <utility>
 
 #include "common/build_info.hpp"
 #include "common/error.hpp"
+#include "runner/job_event.hpp"
 #include "runner/manifest.hpp"
 #include "runner/report.hpp"
 #include "telemetry/export.hpp"
@@ -281,19 +281,13 @@ void Server::handle_submit(const std::shared_ptr<Conn>& conn,
   run.options.cache_max_bytes = 0;
   run.options.pool = pool_.get();
 
-  // Watch submits stream one progress event per finished job. write_line
-  // is per-connection mutex-guarded, so events from concurrent workers
-  // never tear; the final response below still ends the request.
-  std::atomic<int> watch_done{0};
+  // Watch submits stream one job event per finished job. write_line is
+  // per-connection mutex-guarded, so events from concurrent workers never
+  // tear; the final response below still ends the request.
   if (request.watch) {
     const std::uint64_t id = request.id;
-    const int jobs_total = int(run.batch.size());
-    run.options.on_job_done = [this, &conn, &watch_done, id,
-                               jobs_total](const runner::JobResult& job) {
-      write_line(conn, progress_event(
-                           id, watch_done.fetch_add(1) + 1, jobs_total,
-                           job.index, runner::job_status_name(job.status),
-                           job.name));
+    run.options.on_job_event = [this, &conn, id](const runner::JobEvent& e) {
+      write_line(conn, runner::format_job_event(e, id));
     };
   }
 

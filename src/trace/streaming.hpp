@@ -43,29 +43,6 @@ class RecordSink {
   virtual void on_event(const EventRecord& r, cycle_t t) = 0;
 };
 
-/// Fan a decoded record stream out to two sinks (e.g. the canonical
-/// TimedTraceBuilder plus a live-metrics observer). `first` always
-/// receives each record before `second`, so the canonical pipeline is
-/// bit-for-bit unaffected by whatever the observer does.
-class TeeRecordSink final : public RecordSink {
- public:
-  TeeRecordSink(RecordSink& first, RecordSink& second)
-      : first_(first), second_(second) {}
-
-  void on_state(const StateRecord& r, cycle_t t) override {
-    first_.on_state(r, t);
-    second_.on_state(r, t);
-  }
-  void on_event(const EventRecord& r, cycle_t t) override {
-    first_.on_event(r, t);
-    second_.on_event(r, t);
-  }
-
- private:
-  RecordSink& first_;
-  RecordSink& second_;
-};
-
 /// Most records one 64-byte line can hold for `num_threads` threads: the
 /// count byte plus `n` copies of the smallest record (state or event,
 /// whichever is smaller at this thread count). The decoder rejects lines

@@ -64,6 +64,7 @@ void TimedTraceBuilder::on_state(const StateRecord& r, cycle_t t) {
   HLSPROF_CHECK(static_cast<int>(r.states.size()) == num_threads_,
                 "state record thread count mismatch");
   ++states_seen_;
+  last_clock_ = std::max(last_clock_, t);
   // State records carry the full state vector; build intervals per thread
   // by splitting at records where that thread's code changes.
   if (!have_any_) {
@@ -91,6 +92,7 @@ void TimedTraceBuilder::on_state(const StateRecord& r, cycle_t t) {
 void TimedTraceBuilder::on_event(const EventRecord& r, cycle_t t) {
   HLSPROF_CHECK(!finished_, "TimedTraceBuilder::on_event after finish");
   ++events_seen_;
+  last_clock_ = std::max(last_clock_, t);
   out_.events.push_back(EventSample{r.kind, thread_id_t(r.thread), t,
                                     r.value});
 }

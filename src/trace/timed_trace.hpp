@@ -88,6 +88,23 @@ class TimedTraceBuilder final : public RecordSink {
   long long states_seen() const { return states_seen_; }
   long long events_seen() const { return events_seen_; }
 
+  // Read-only view of the fold so far, for observers that sample the
+  // builder between flush bursts (the live timeline). Valid until finish().
+  int num_threads() const { return num_threads_; }
+  /// Per-thread state intervals closed so far, in time order.
+  const std::vector<std::vector<StateInterval>>& closed_intervals() const {
+    return out_.thread_states;
+  }
+  /// True once the first state record arrived (open states exist).
+  bool started() const { return have_any_; }
+  /// Thread `tid`'s open state and the cycle it began at.
+  sim::ThreadState open_state(thread_id_t tid) const {
+    return sim::ThreadState(cur_[tid]);
+  }
+  cycle_t open_since(thread_id_t tid) const { return since_[tid]; }
+  /// Largest record clock seen so far (0 before any record).
+  cycle_t last_clock() const { return last_clock_; }
+
  private:
   int num_threads_;
   cycle_t sampling_period_;
@@ -96,6 +113,7 @@ class TimedTraceBuilder final : public RecordSink {
   std::vector<cycle_t> since_;       // open-interval start per thread
   bool have_any_ = false;
   cycle_t first_clock_ = 0;
+  cycle_t last_clock_ = 0;
   bool finished_ = false;
   long long states_seen_ = 0;
   long long events_seen_ = 0;

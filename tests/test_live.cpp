@@ -1,9 +1,9 @@
-// Tests for the live observability layer (src/live): LiveMetrics must
-// match the post-hoc paraver/analysis numbers EXACTLY (same doubles, not
-// approximately), the live timeline must compact to fit, the
-// ##hlsprof-live channel must round-trip, fleet merging must be
-// weighted correctly, and attaching any of it must leave canonical
-// report and Paraver bytes untouched.
+// Tests for the live observability layer (src/live): the timeline view
+// reads the canonical TimedTraceBuilder between flush bursts and must
+// compact to fit and bucket every cycle once, the batch and fleet views
+// fold job events (a job re-announced by a second shard counts once),
+// and attaching any of it must leave canonical report and Paraver bytes
+// untouched.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,163 +15,62 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "core/hlsprof.hpp"
-#include "live/metrics.hpp"
 #include "live/reporter.hpp"
 #include "live/timeline.hpp"
-#include "paraver/analysis.hpp"
 #include "paraver/writer.hpp"
 #include "runner/runner.hpp"
-#include "runner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "trace/timed_trace.hpp"
-#include "workloads/gemm.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
 
 namespace hlsprof {
 namespace {
 
-using sim::ThreadState;
-using trace::EventKind;
-
-constexpr ThreadState kStates[4] = {ThreadState::idle, ThreadState::running,
-                                    ThreadState::critical,
-                                    ThreadState::spinning};
-
-/// Assert that LiveMetrics' finalized stats equal the analysis of the
-/// canonical timeline bit for bit.
-void expect_matches_analysis(const live::LiveStats& st,
-                             const trace::TimedTrace& t) {
-  ASSERT_EQ(st.num_threads, t.num_threads);
-  EXPECT_EQ(st.duration, t.duration);
-  EXPECT_EQ(st.sampling_period, t.sampling_period);
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(st.state_cycles[std::size_t(s)], t.state_cycles(kStates[s]));
-    EXPECT_EQ(st.state_share[std::size_t(s)], t.state_fraction(kStates[s]));
-    for (int k = 0; k < t.num_threads; ++k) {
-      EXPECT_EQ(st.per_thread[std::size_t(k)][std::size_t(s)],
-                t.state_fraction(thread_id_t(k), kStates[s]));
-    }
-  }
-  EXPECT_EQ(st.mean_bandwidth, paraver::mean_bandwidth(t));
-  if (t.sampling_period > 0) {
-    EXPECT_EQ(st.peak_bandwidth, paraver::peak_bandwidth(t));
-  }
+trace::StateRecord states(std::vector<std::uint8_t> codes) {
+  trace::StateRecord r;
+  r.states = std::move(codes);
+  return r;
 }
 
-// ---- LiveMetrics vs post-hoc analysis --------------------------------------
+// ---- trace hook ------------------------------------------------------------
 
-TEST(LiveMetrics, MatchesAnalysisOnRandomStreams) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    std::mt19937_64 rng(seed);
-    const int threads = 1 + int(rng() % 8);
-    const cycle_t period = (rng() % 3 == 0) ? 64 : 256;
-    trace::TimedTraceBuilder builder(threads, period);
-    live::LiveMetrics lm(threads, period);
-
-    cycle_t t = rng() % 16;
-    const int n_records = 20 + int(rng() % 200);
-    for (int i = 0; i < n_records; ++i) {
-      if (rng() % 4 == 0) {
-        trace::EventRecord e;
-        e.kind = EventKind(1 + rng() % 5);
-        e.thread = std::uint8_t(rng() % std::uint64_t(threads));
-        e.clock32 = std::uint32_t(t);
-        e.value = rng() % 5000;
-        builder.on_event(e, t);
-        lm.on_event(e, t);
-      } else {
-        trace::StateRecord s;
-        s.clock32 = std::uint32_t(t);
-        for (int k = 0; k < threads; ++k) {
-          s.states.push_back(std::uint8_t(rng() % 4));
-        }
-        builder.on_state(s, t);
-        lm.on_state(s, t);
-      }
-      // Sometimes repeat a clock (same-cycle records), sometimes jump.
-      t += (rng() % 3 == 0) ? 0 : 1 + rng() % 300;
-    }
-    // Run end beyond, at, or before the last record clock.
-    const cycle_t run_end = (rng() % 2 == 0) ? t + rng() % 1000 : t / 2;
-    const trace::TimedTrace timeline = builder.finish(run_end);
-    expect_matches_analysis(lm.finalize(run_end), timeline);
-  }
-}
-
-TEST(LiveMetrics, MatchesAnalysisOnRealWorkloads) {
-  struct Case {
-    const char* name;
-    ir::Kernel kernel;
+TEST(LiveHook, AttachingHookKeepsTraceBytesIdentical) {
+  struct Seen {
+    int calls = 0;
+    long long states = 0;
+    cycle_t last_clock = 0;
   };
-  std::vector<Case> cases;
-  cases.push_back({"vecadd", workloads::vecadd(2048, 4)});
-  workloads::GemmConfig gcfg;
-  gcfg.dim = 24;
-  cases.push_back({"gemm", workloads::gemm_versions()[0].build(gcfg)});
-
-  for (auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    hls::Design d = core::compile(std::move(c.kernel));
-    const int threads = d.kernel.num_threads;
-    core::RunOptions opts;
-    live::LiveMetrics lm(threads, opts.profiling.sampling_period);
-    opts.live_sink = &lm;
-    core::Session s(std::move(d), opts);
-    runner::HostBuffers bufs;
-    if (std::string(c.name) == "vecadd") {
-      s.sim().bind_f32("x", bufs.f32(workloads::random_vector(2048, 1)));
-      s.sim().bind_f32("y", bufs.f32(workloads::random_vector(2048, 2)));
-      s.sim().bind_f32("z", bufs.f32(2048));
-    } else {
-      s.sim().bind_f32("A", bufs.f32(workloads::random_matrix(24, 1)));
-      s.sim().bind_f32("B", bufs.f32(workloads::random_matrix(24, 2)));
-      s.sim().bind_f32("C", bufs.f32(24 * 24));
-    }
-    const core::RunResult r = s.run();
-    ASSERT_TRUE(r.has_trace);
-    EXPECT_EQ(lm.state_records(), r.state_records);
-    EXPECT_EQ(lm.event_records(), r.event_records);
-    expect_matches_analysis(lm.finalize(r.timeline.duration), r.timeline);
-  }
-}
-
-TEST(LiveMetrics, PeekValuesOpenIntervalsAtLastClock) {
-  live::LiveMetrics lm(2, 0);
-  trace::StateRecord s;
-  s.states = {1, 0};  // running, idle
-  lm.on_state(s, 100);
-  s.states = {1, 3};
-  lm.on_state(s, 300);
-  const live::LiveStats st = lm.peek();
-  EXPECT_EQ(st.duration, 300u);
-  // Thread 0 ran [100,300); thread 1 idled [100,300) (its spin interval
-  // is still zero-length at the peek clock).
-  EXPECT_EQ(st.state_cycles[1], 200u);
-  EXPECT_EQ(st.state_cycles[0], 200u);
-  EXPECT_EQ(st.state_cycles[3], 0u);
-}
-
-TEST(LiveMetrics, AttachingLiveSinkKeepsTraceBytesIdentical) {
-  const auto run_once = [](trace::RecordSink* sink) {
+  const auto run_once = [](Seen* seen) {
     hls::Design d = core::compile(workloads::vecadd(1024, 4));
     core::RunOptions opts;
-    opts.live_sink = sink;
+    if (seen != nullptr) {
+      opts.trace_progress = [seen](const trace::TimedTraceBuilder& b) {
+        ++seen->calls;
+        seen->states = b.states_seen();
+        seen->last_clock = b.last_clock();
+      };
+    }
     core::Session s(std::move(d), opts);
     runner::HostBuffers bufs;
     s.sim().bind_f32("x", bufs.f32(workloads::random_vector(1024, 7)));
     s.sim().bind_f32("y", bufs.f32(workloads::random_vector(1024, 8)));
     s.sim().bind_f32("z", bufs.f32(1024));
-    const core::RunResult r = s.run();
-    return paraver::to_paraver(r.timeline, "vecadd");
+    return s.run();
   };
-  live::LiveMetrics lm(4, 8192);
-  const auto off = run_once(nullptr);
-  const auto on = run_once(&lm);
-  EXPECT_EQ(off.prv, on.prv);
-  EXPECT_EQ(off.pcf, on.pcf);
-  EXPECT_EQ(off.row, on.row);
-  EXPECT_GT(lm.state_records(), 0);
+  Seen seen;
+  const core::RunResult off = run_once(nullptr);
+  const core::RunResult on = run_once(&seen);
+  const auto prv_off = paraver::to_paraver(off.timeline, "vecadd");
+  const auto prv_on = paraver::to_paraver(on.timeline, "vecadd");
+  EXPECT_EQ(prv_off.prv, prv_on.prv);
+  EXPECT_EQ(prv_off.pcf, prv_on.pcf);
+  EXPECT_EQ(prv_off.row, prv_on.row);
+  // Once per flush burst plus once after the final drain, and the last
+  // call saw every record.
+  EXPECT_EQ(seen.calls, on.flush_bursts + 1);
+  EXPECT_EQ(seen.states, on.state_records);
+  EXPECT_LE(seen.last_clock, on.timeline.duration);
 }
 
 // ---- timeline view ---------------------------------------------------------
@@ -181,13 +80,11 @@ TEST(LiveTimeline, RendersStatesWithSharedLegend) {
   topts.width = 8;
   topts.initial_span = 16;
   live::LiveTimelineView view(2, topts);
-  trace::StateRecord s;
-  s.states = {1, 3};  // running, spinning
-  view.on_state(s, 0);
-  s.states = {1, 3};
-  view.on_state(s, 64);
-  s.states = {0, 0};
-  view.on_state(s, 100);
+  trace::TimedTraceBuilder b(2, 0);
+  b.on_state(states({1, 3}), 0);  // running, spinning
+  b.on_state(states({1, 3}), 64);
+  b.on_state(states({0, 0}), 100);
+  view.update(b);
   const std::string frame = view.render_frame();
   EXPECT_NE(frame.find("T0 "), std::string::npos);
   EXPECT_NE(frame.find("T1 "), std::string::npos);
@@ -201,10 +98,11 @@ TEST(LiveTimeline, CompactsSpanToFitWidth) {
   topts.width = 8;
   topts.initial_span = 4;  // fits 32 cycles before compaction
   live::LiveTimelineView view(1, topts);
-  trace::StateRecord s;
-  s.states = {1};
-  view.on_state(s, 0);
-  view.on_state(s, 1000);  // forces repeated pair-merging
+  trace::TimedTraceBuilder b(1, 0);
+  b.on_state(states({1}), 0);
+  view.update(b);
+  b.on_state(states({1}), 1000);  // forces repeated pair-merging
+  view.update(b);
   EXPECT_GE(view.span() * cycle_t(topts.width), 1000u);
   EXPECT_EQ(view.span() % 4, 0u);  // doubled from the initial span
   // The run still renders one row of width <= 8 columns.
@@ -212,57 +110,60 @@ TEST(LiveTimeline, CompactsSpanToFitWidth) {
   EXPECT_NE(frame.find("T0 "), std::string::npos);
 }
 
-// ---- live line channel -----------------------------------------------------
-
-TEST(LiveLine, FormatsAndParsesExactly) {
-  live::LiveLine l;
-  l.jobs_done = 3;
-  l.jobs_total = 16;
-  l.cycles = 123456789;
-  l.thread_cycles = 987654321;
-  l.idle = 0.125;
-  l.running = 0.75;
-  l.critical = 0.0625;
-  l.spinning = 0.0625;
-  l.bw = 1.5;
-  const std::string line = live::format_live_line(l);
-  EXPECT_EQ(line.rfind(live::kLivePrefix, 0), 0u);
-  live::LiveLine back;
-  ASSERT_TRUE(live::parse_live_line(line, &back));
-  EXPECT_EQ(back.jobs_done, l.jobs_done);
-  EXPECT_EQ(back.jobs_total, l.jobs_total);
-  EXPECT_EQ(back.cycles, l.cycles);
-  EXPECT_EQ(back.thread_cycles, l.thread_cycles);
-  EXPECT_DOUBLE_EQ(back.running, l.running);
-  EXPECT_DOUBLE_EQ(back.bw, l.bw);
-  EXPECT_FALSE(live::parse_live_line("##hlsprof-job index=1 ...", &back));
-  EXPECT_FALSE(live::parse_live_line("##hlsprof-live jobs_done=x", &back));
-  EXPECT_FALSE(live::parse_live_line("plain chatter", &back));
+TEST(LiveTimeline, IncrementalUpdatesBucketEachCycleOnce) {
+  // Drive two views from one random record stream: one updated after
+  // every few records (an open interval is charged, then closed), one
+  // updated once at the end. Both must draw the same frame.
+  std::mt19937_64 rng(7);
+  constexpr int kThreads = 3;
+  live::TimelineOptions topts;
+  topts.width = 16;
+  topts.initial_span = 8;
+  live::LiveTimelineView often(kThreads, topts);
+  live::LiveTimelineView once(kThreads, topts);
+  trace::TimedTraceBuilder b(kThreads, 0);
+  cycle_t t = 5;
+  for (int i = 0; i < 300; ++i) {
+    std::vector<std::uint8_t> codes;
+    for (int k = 0; k < kThreads; ++k) codes.push_back(std::uint8_t(rng() % 4));
+    b.on_state(states(codes), t);
+    t += rng() % 40;
+    if (rng() % 3 == 0) often.update(b);
+  }
+  often.update(b);
+  once.update(b);
+  EXPECT_EQ(often.span(), once.span());
+  EXPECT_EQ(often.render_frame(), once.render_frame());
 }
 
-TEST(LiveLine, MergeWeightsByThreadCycles) {
-  live::LiveLine a;
-  a.jobs_done = 1;
-  a.jobs_total = 2;
-  a.cycles = 100;
-  a.thread_cycles = 400;  // 4 threads
-  a.running = 1.0;
-  a.bw = 2.0;
-  live::LiveLine b;
-  b.jobs_done = 1;
-  b.jobs_total = 2;
-  b.cycles = 300;
-  b.thread_cycles = 1200;
-  b.idle = 1.0;
-  b.bw = 0.0;
-  const live::LiveLine m = live::merge_live_lines({a, b});
-  EXPECT_EQ(m.jobs_done, 2u);
-  EXPECT_EQ(m.jobs_total, 4u);
-  EXPECT_EQ(m.cycles, 400u);
-  EXPECT_EQ(m.thread_cycles, 1600u);
-  EXPECT_DOUBLE_EQ(m.running, 0.25);  // 400/1600
-  EXPECT_DOUBLE_EQ(m.idle, 0.75);
-  EXPECT_DOUBLE_EQ(m.bw, 0.5);  // (2*100 + 0*300) / 400
+// ---- job totals ------------------------------------------------------------
+
+runner::JobEvent event(int index, std::uint64_t cycles,
+                       std::array<std::uint64_t, 4> state_cycles,
+                       std::uint64_t bytes) {
+  runner::JobEvent e;
+  e.index = index;
+  e.name = "job" + std::to_string(index);
+  e.cycles = cycles;
+  e.threads = 4;
+  e.state_cycles = state_cycles;
+  e.bytes = bytes;
+  e.done = 1;
+  e.jobs = 2;
+  return e;
+}
+
+TEST(LiveTotals, SharesWeightByThreadCycles) {
+  live::JobTotals t;
+  t.jobs = 2;
+  t.add(event(0, 100, {0, 400, 0, 0}, 200));   // 4 threads, all running
+  t.add(event(1, 300, {1200, 0, 0, 0}, 0));    // 4 threads, all idle
+  EXPECT_EQ(t.done, 2u);
+  EXPECT_EQ(t.cycles, 400u);
+  EXPECT_DOUBLE_EQ(t.share(1), 0.25);  // 400 / 1600
+  EXPECT_DOUBLE_EQ(t.share(0), 0.75);
+  EXPECT_DOUBLE_EQ(t.bandwidth(), 0.5);  // 200 bytes / 400 cycles
+  EXPECT_NE(live::format_totals(t).find("jobs 2/2"), std::string::npos);
 }
 
 // ---- batch reporter --------------------------------------------------------
@@ -298,101 +199,85 @@ TEST(LiveReporter, ObserverKeepsReportBytesIdenticalAndFoldsTotals) {
   base.seed = 42;
   const runner::BatchResult plain = batch.run(base);
 
-  std::FILE* lines = std::tmpfile();
-  ASSERT_NE(lines, nullptr);
+  std::FILE* display = std::tmpfile();
+  ASSERT_NE(display, nullptr);
   live::ReporterOptions ropts;
-  ropts.jobs_total = batch.size();
-  ropts.line_out = lines;
+  ropts.mode = live::LiveMode::state;
+  ropts.display = display;
   live::BatchLiveReporter reporter(ropts);
   runner::BatchOptions observed = base;
-  observed.observer = &reporter;
+  observed.on_trace = [&reporter](int index, const std::string& name,
+                                  const trace::TimedTraceBuilder& b) {
+    reporter.on_trace(index, name, b);
+  };
+  observed.on_job_event = [&reporter](const runner::JobEvent& e) {
+    reporter.on_job_event(e);
+  };
   const runner::BatchResult live_run = batch.run(observed);
   reporter.finish();
 
   EXPECT_EQ(canonical_report(plain), canonical_report(live_run));
 
-  const live::LiveLine totals = reporter.totals();
-  EXPECT_EQ(totals.jobs_done, 3u);
-  EXPECT_EQ(totals.jobs_total, 3u);
-  EXPECT_GT(totals.cycles, 0u);
-  // Every job runs 4 hardware threads, so the fold's thread-cycle
-  // denominator is exactly 4x the summed timeline durations.
-  EXPECT_EQ(totals.thread_cycles, totals.cycles * 4);
-
-  // One flushed ##hlsprof-live line per finished job, last one == totals.
-  std::rewind(lines);
-  std::string text(1 << 16, '\0');
-  text.resize(std::fread(text.data(), 1, text.size(), lines));
-  std::fclose(lines);
-  int count = 0;
-  std::size_t pos = 0;
-  std::string last;
-  while ((pos = text.find(live::kLivePrefix, pos)) != std::string::npos) {
-    const std::size_t nl = text.find('\n', pos);
-    last = text.substr(pos, nl - pos);
-    ++count;
-    pos = nl;
+  // The totals are the exact sums of the jobs' own numbers.
+  const live::JobTotals totals = reporter.totals();
+  EXPECT_EQ(totals.done, 3u);
+  EXPECT_EQ(totals.jobs, 3u);
+  std::uint64_t cycles = 0;
+  std::uint64_t running = 0;
+  for (const runner::JobResult& j : live_run.jobs) {
+    cycles += j.total_cycles;
+    running += j.state_cycles[1];
   }
-  EXPECT_EQ(count, 3);
-  live::LiveLine parsed;
-  ASSERT_TRUE(live::parse_live_line(last, &parsed));
-  EXPECT_EQ(parsed.jobs_done, 3u);
-  EXPECT_EQ(parsed.cycles, totals.cycles);
+  EXPECT_EQ(totals.cycles, cycles);
+  EXPECT_EQ(totals.state_cycles[1], running);
+  EXPECT_GT(running, 0u);
+
+  // The timeline slot drew frames with the job's label on the display.
+  std::rewind(display);
+  std::string text(1 << 16, '\0');
+  text.resize(std::fread(text.data(), 1, text.size(), display));
+  std::fclose(display);
+  EXPECT_NE(text.find("vecadd.n"), std::string::npos);
+  EXPECT_NE(text.find("legend:"), std::string::npos);
 }
 
 // ---- fleet view ------------------------------------------------------------
 
 TEST(LiveFleet, AggregatesShardLanes) {
-  live::FleetView fleet(2, live::FleetOptions{});
-  live::LiveLine a;
-  a.jobs_done = 1;
-  a.jobs_total = 2;
-  a.cycles = 100;
-  a.thread_cycles = 800;
-  a.running = 0.5;
-  a.idle = 0.5;
-  fleet.update(0, a);
-  fleet.update(1, a);
-  const live::LiveLine m = fleet.merged();
-  EXPECT_EQ(m.jobs_done, 2u);
+  live::FleetView fleet(4, live::FleetOptions{});
+  fleet.update(0, event(0, 100, {400, 400, 0, 0}, 0));
+  fleet.update(1, event(1, 100, {400, 400, 0, 0}, 0));
+  const live::JobTotals m = fleet.merged();
+  EXPECT_EQ(m.done, 2u);
+  EXPECT_EQ(m.jobs, 4u);
   EXPECT_EQ(m.cycles, 200u);
-  EXPECT_DOUBLE_EQ(m.running, 0.5);
+  EXPECT_DOUBLE_EQ(m.share(1), 0.5);
   const std::string frame = fleet.render_frame();
   EXPECT_NE(frame.find("shard 0"), std::string::npos);
   EXPECT_NE(frame.find("shard 1"), std::string::npos);
   EXPECT_NE(frame.find("fleet"), std::string::npos);
   // A re-dispatched shard (id beyond the initial split) gets a lane too.
-  fleet.update(4, a);
-  EXPECT_EQ(fleet.merged().jobs_done, 3u);
+  fleet.update(4, event(2, 100, {400, 400, 0, 0}, 0));
+  EXPECT_EQ(fleet.merged().done, 3u);
+  EXPECT_NE(fleet.render_frame().find("shard 4"), std::string::npos);
 }
 
-// ---- progress line metrics -------------------------------------------------
-
-TEST(LiveProgressLine, CarriesJobMetrics) {
-  runner::JobResult j;
-  j.index = 7;
-  j.status = runner::JobStatus::ok;
-  j.name = "gemm dim=48, blocked";
-  j.total_cycles = 123456;
-  j.state_running = 0.625;
-  j.state_spinning = 0.125;
-  const std::string line = runner::format_progress_line(j);
-  runner::ProgressLine p;
-  ASSERT_TRUE(runner::parse_progress_line(line, &p));
-  EXPECT_EQ(p.index, 7);
-  EXPECT_EQ(p.status, "ok");
-  EXPECT_EQ(p.name, j.name);
-  EXPECT_EQ(p.cycles, 123456u);
-  EXPECT_NEAR(p.running, 0.625, 1e-3);
-  EXPECT_NEAR(p.spinning, 0.125, 1e-3);
-  // Older-format lines (no metric fields) still parse, metrics zero.
-  runner::ProgressLine old;
-  ASSERT_TRUE(runner::parse_progress_line(
-      "##hlsprof-job index=3 status=failed name=x y z", &old));
-  EXPECT_EQ(old.index, 3);
-  EXPECT_EQ(old.status, "failed");
-  EXPECT_EQ(old.name, "x y z");
-  EXPECT_EQ(old.cycles, 0u);
+TEST(LiveFleet, JobReportedByTwoShardsCountsOnce) {
+  // Two jobs; shard 0 dies after announcing job 0, and its replacement
+  // (shard 2) announces job 0 again alongside job 1. A speculative
+  // backup (shard 3) then repeats both.
+  live::FleetView fleet(2, live::FleetOptions{});
+  fleet.update(0, event(0, 100, {0, 400, 0, 0}, 64));
+  fleet.update(2, event(0, 100, {0, 400, 0, 0}, 64));
+  fleet.update(2, event(1, 300, {1200, 0, 0, 0}, 0));
+  fleet.update(3, event(0, 100, {0, 400, 0, 0}, 64));
+  fleet.update(3, event(1, 300, {1200, 0, 0, 0}, 0));
+  const live::JobTotals m = fleet.merged();
+  EXPECT_EQ(m.done, 2u);
+  EXPECT_LE(m.done, m.jobs);
+  EXPECT_EQ(m.cycles, 400u);
+  EXPECT_EQ(m.bytes, 64u);
+  EXPECT_DOUBLE_EQ(m.share(1), 0.25);
 }
 
 // ---- merged chrome traces --------------------------------------------------

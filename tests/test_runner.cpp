@@ -3,10 +3,14 @@
 // fault isolation, deterministic seeding, timeouts, manifests, reports.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -384,6 +388,31 @@ TEST(RunnerPool, ResolveWorkersClampsToAtLeastOne) {
   EXPECT_EQ(runner::Pool::resolve_workers(5), 5);
 }
 
+/// Exit status of a shell command (its output is discarded).
+int exit_status(const std::string& cmd) {
+  const int raw = std::system((cmd + " >/dev/null 2>&1").c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(RunnerCli, NegativeWorkersIsAUsageError) {
+  const std::filesystem::path manifest =
+      std::filesystem::path(testing::TempDir()) / "negative_workers.manifest";
+  std::ofstream(manifest) << "workload = pi\nsteps = 100\nthreads = 1\n";
+  EXPECT_EQ(exit_status(std::string(HLSPROF_RUN_BIN) + " " +
+                        manifest.string() + " --workers=-2 --quiet"),
+            2);
+  EXPECT_EQ(exit_status(std::string(HLSPROF_RUN_BIN) + " " +
+                        manifest.string() + " --workers=1 --quiet"),
+            0);
+}
+
+TEST(RunnerCli, ServeNegativeWorkersIsAUsageError) {
+  // Rejected before any socket is opened.
+  EXPECT_EQ(exit_status(std::string(HLSPROF_SERVE_BIN) +
+                        " --socket=/tmp/hlsprof_never.sock --workers=-1"),
+            2);
+}
+
 /// Returns the message a parse failure produces (fails the test if the
 /// manifest parses).
 std::string manifest_error(const std::string& text) {
@@ -394,6 +423,16 @@ std::string manifest_error(const std::string& text) {
   }
   ADD_FAILURE() << "manifest unexpectedly parsed: " << text;
   return "";
+}
+
+TEST(RunnerManifest, NegativeWorkersNamesTheLine) {
+  const std::string msg =
+      manifest_error("workload = pi\nlabel = x\nworkers = -4\n");
+  EXPECT_NE(msg.find("manifest:3:"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("'workers'"), std::string::npos) << msg;
+  EXPECT_EQ(runner::parse_manifest("workload = pi\nworkers = 0\n")
+                .options.workers,
+            0);
 }
 
 TEST(RunnerManifest, ErrorsNameTheLineAndOffendingKey) {

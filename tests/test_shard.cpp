@@ -179,24 +179,24 @@ TEST(ShardSelect, SelectedRunIsTheSliceOfTheFullRun) {
   EXPECT_EQ(part.jobs[1].index, 4);
 }
 
-// ---- progress lines --------------------------------------------------------
+// ---- progress events -------------------------------------------------------
 
 TEST(ShardProgress, RoundTripsNamesWithSpaces) {
   runner::JobResult j;
   j.index = 12;
   j.status = runner::JobStatus::timed_out;
-  j.name = "gemm dim=48 threads=4, blocked";
-  const std::string line = runner::format_progress_line(j);
-  int index = -1;
-  std::string status, name;
-  ASSERT_TRUE(runner::parse_progress_line(line, &index, &status, &name));
-  EXPECT_EQ(index, 12);
-  EXPECT_EQ(status, "timed_out");
-  EXPECT_EQ(name, j.name);
-  EXPECT_FALSE(runner::parse_progress_line("plain stdout chatter", &index,
-                                           &status, &name));
-  EXPECT_FALSE(runner::parse_progress_line("##hlsprof-job index=x status=ok",
-                                           &index, &status, &name));
+  j.name = "gemm dim=48 threads=4, blocked \"v2\"";
+  const std::string line =
+      runner::format_job_event(runner::make_job_event(j, 1, 3));
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  runner::JobEvent e;
+  ASSERT_TRUE(runner::parse_job_event(line, &e));
+  EXPECT_EQ(e.index, 12);
+  EXPECT_EQ(e.status, runner::JobStatus::timed_out);
+  EXPECT_EQ(e.name, j.name);
+  EXPECT_FALSE(runner::parse_job_event("plain stdout chatter", &e));
+  EXPECT_FALSE(runner::parse_job_event(
+      R"({"event":"job","index":"x","status":"ok"})", &e));
 }
 
 // ---- report round-trip and merging -----------------------------------------
@@ -319,6 +319,38 @@ TEST(ShardE2E, KilledShardIsRedispatchedAndOutputUnchanged) {
   EXPECT_GE(sharded.shards_launched, 4);
   EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
             canonical_report(single, sharded.label));
+}
+
+TEST(ShardE2E, ReaderForwardsOneEventPerJobAndIgnoresChatter) {
+  // Shard children that print stray stdout lines — text, JSON that is
+  // not a job event, a malformed event — around their real job events.
+  const std::string dir = fresh_dir("chatter");
+  const std::string wrapper = dir + "/noisy-run.sh";
+  {
+    std::ofstream f(wrapper);
+    f << "#!/bin/sh\n"
+         "echo 'plain chatter'\n"
+         "echo '{\"event\":\"other\"}'\n"
+         "echo '{\"event\":\"job\",\"index\":-4}'\n"
+         "exec '" HLSPROF_RUN_BIN "' \"$@\"\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all);
+  runner::ShardOptions o = e2e_options(3);
+  o.runner_binary = wrapper;
+  std::vector<runner::JobEvent> events;
+  o.on_job_event = [&events](int, const std::string& line,
+                             const runner::JobEvent& e) {
+    runner::JobEvent again;
+    EXPECT_TRUE(runner::parse_job_event(line, &again)) << line;
+    events.push_back(e);
+  };
+  const runner::ShardResult sharded = runner::run_sharded_text(kManifest, o);
+  EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
+            canonical_report(run_whole(kManifest), sharded.label));
+  std::set<int> indices;
+  for (const runner::JobEvent& e : events) indices.insert(e.index);
+  EXPECT_EQ(events.size(), sharded.merged.jobs.size());
+  EXPECT_EQ(indices.size(), sharded.merged.jobs.size());
 }
 
 TEST(ShardE2E, RedispatchBudgetExhaustionFails) {

@@ -8,8 +8,9 @@
 // with no such phase — sync-heavy bodies, pure-compute loops — must run
 // bit-identically to the exact mode with zero phases. Randomized
 // kernels under randomized DramParams pin the contract away from the
-// tuned defaults. LiveMetrics finals are computed through the same
-// runs, so the live layer inherits the tolerances.
+// tuned defaults. State shares and mean bandwidth are read off the
+// canonical timeline with paraver::summarize_states / mean_bandwidth,
+// the analysis reports use.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,7 +21,7 @@
 #include "common/rng.hpp"
 #include "core/hlsprof.hpp"
 #include "ir/builder.hpp"
-#include "live/metrics.hpp"
+#include "paraver/analysis.hpp"
 #include "paraver/writer.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/pi.hpp"
@@ -45,7 +46,8 @@ using Binder = std::function<void(sim::Simulator&, HostBufs&)>;
 
 struct ModeRun {
   sim::SimResult sim;
-  live::LiveStats live;
+  paraver::StateSummary states;
+  double mean_bandwidth = 0.0;
   sim::Simulator::FastForwardStats ff;
   paraver::ParaverFiles files;
 };
@@ -62,16 +64,14 @@ ModeRun run_mode(const std::shared_ptr<const hls::Design>& design,
   core::RunOptions opts;
   opts.sim = base;
   opts.sim.fast_forward = fast_forward;
-  live::LiveMetrics lm(design->kernel.num_threads,
-                       opts.profiling.sampling_period);
-  opts.live_sink = &lm;
   core::Session s(design, opts);
   HostBufs bufs;
   bind(s.sim(), bufs);
   core::RunResult r = s.run();
   ModeRun m;
   m.sim = r.sim;
-  m.live = lm.finalize(r.timeline.duration);
+  m.states = paraver::summarize_states(r.timeline);
+  m.mean_bandwidth = paraver::mean_bandwidth(r.timeline);
   m.ff = s.sim().fast_forward_stats();
   m.files = paraver::to_paraver(r.timeline, design->kernel.name);
   return m;
@@ -120,11 +120,11 @@ void expect_within_contract(const ModeRun& ap, const ModeRun& ex) {
   expect_rel_close(double(ap.sim.dram_bytes_written),
                    double(ex.sim.dram_bytes_written), 0.05,
                    "dram_bytes_written");
-  for (std::size_t st = 0; st < ap.live.state_share.size(); ++st) {
-    EXPECT_NEAR(ap.live.state_share[st], ex.live.state_share[st], 0.01)
-        << "state " << st;
-  }
-  expect_rel_close(ap.live.mean_bandwidth, ex.live.mean_bandwidth, 0.01,
+  EXPECT_NEAR(ap.states.idle, ex.states.idle, 0.01) << "idle";
+  EXPECT_NEAR(ap.states.running, ex.states.running, 0.01) << "running";
+  EXPECT_NEAR(ap.states.critical, ex.states.critical, 0.01) << "critical";
+  EXPECT_NEAR(ap.states.spinning, ex.states.spinning, 0.01) << "spinning";
+  expect_rel_close(ap.mean_bandwidth, ex.mean_bandwidth, 0.01,
                    "mean_bandwidth");
 }
 

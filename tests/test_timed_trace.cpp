@@ -144,5 +144,36 @@ TEST(TimedTrace, ThreadCountMismatchThrows) {
   EXPECT_THROW(build_timed_trace(d, 3, 10, 0), Error);
 }
 
+TEST(TimedTraceBuilderView, ExposesClosedAndOpenIntervals) {
+  TimedTraceBuilder b(2, 0);
+  EXPECT_FALSE(b.started());
+  StateRecord s;
+  s.states = {1, 0};  // running, idle
+  b.on_state(s, 100);
+  s.states = {1, 3};
+  b.on_state(s, 300);
+  EventRecord e;
+  e.kind = EventKind::bytes_read;
+  e.value = 64;
+  b.on_event(e, 256);  // an older window start never moves the clock back
+  ASSERT_TRUE(b.started());
+  EXPECT_EQ(b.num_threads(), 2);
+  EXPECT_EQ(b.last_clock(), 300u);
+  // Thread 0 still runs since 100; thread 1 idled [100,300) and now
+  // spins.
+  EXPECT_TRUE(b.closed_intervals()[0].empty());
+  EXPECT_EQ(b.open_state(0), ThreadState::running);
+  EXPECT_EQ(b.open_since(0), 100u);
+  ASSERT_EQ(b.closed_intervals()[1].size(), 1u);
+  EXPECT_EQ(b.closed_intervals()[1][0].state, ThreadState::idle);
+  EXPECT_EQ(b.closed_intervals()[1][0].end, 300u);
+  EXPECT_EQ(b.open_state(1), ThreadState::spinning);
+  EXPECT_EQ(b.open_since(1), 300u);
+  // finish() closes the open intervals the view showed.
+  const TimedTrace t = b.finish(400);
+  EXPECT_EQ(t.state_cycles(ThreadState::running), 300u);
+  EXPECT_EQ(t.state_cycles(ThreadState::spinning), 100u);
+}
+
 }  // namespace
 }  // namespace hlsprof::trace

@@ -4,14 +4,14 @@
 //                              [--cache-dir=DIR] [--cache-max-bytes=N]
 //                              [--approx-trace]
 //                              [--canonical] [--json] [--quiet] [--progress]
-//                              [--live[=state|metrics]] [--live-lines]
-//                              [--no-color] [--shards=N] [--shard-strategy=S]
+//                              [--live[=state|metrics]] [--no-color]
+//                              [--shards=N] [--shard-strategy=S]
 //                              [--straggler-factor=F] [--connect=SOCKETS]
 //                              [--telemetry-out=FILE] [--chrome-trace=FILE]
 //                              [--version] [--help]
 //
 //   --workers=N          override the manifest's worker count (0 = one per
-//                        core)
+//                        core; negative is a usage error)
 //   --out=PREFIX         write PREFIX.json + PREFIX.csv (overrides manifest
 //                        `out`)
 //   --seed=S             override the manifest's batch seed
@@ -30,8 +30,9 @@
 //                        cache_hit
 //   --json               print the JSON report to stdout
 //   --quiet              suppress the summary table
-//   --progress           print one line per finished job as it completes
-//                        (machine-parsable; the shard coordinator's feed)
+//   --progress           print one JSON job event per finished job on
+//                        stdout as it completes (runner/job_event.hpp; the
+//                        shard coordinator's feed, which it forwards)
 //   --live[=MODE]        live display on stderr while the batch runs:
 //                        `state` (default) draws the in-place ASCII thread
 //                        timeline of the running job, `metrics` a one-line
@@ -39,9 +40,6 @@
 //                        TTY. In shard mode shows the per-shard fleet view.
 //                        Canonical report and trace bytes are identical
 //                        with it on or off. See docs/LIVE.md.
-//   --live-lines         print one machine-parsable `##hlsprof-live`
-//                        totals line per finished job (the fleet view's
-//                        feed; works without a TTY)
 //   --no-color           disable ANSI colors in the live display
 //                        (NO_COLOR in the environment does the same)
 //   --shards=N           split the manifest's jobs across N hlsprof-run
@@ -74,6 +72,7 @@
 
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,7 +109,8 @@ int main(int argc, char** argv) {
   std::string straggler_factor_text;
   std::string connect_text;
   std::string shard_telemetry_prefix;
-  long long workers_override = -1;
+  // LLONG_MIN = not given; an explicit negative count is rejected.
+  long long workers_override = std::numeric_limits<long long>::min();
   long long seed_override = -1;
   long long cache_max_bytes = -1;
   long long shards = 1;
@@ -121,7 +121,6 @@ int main(int argc, char** argv) {
   bool quiet = false;
   bool progress = false;
   bool live_flag = false;
-  bool live_lines = false;
   bool no_color = false;
   bool version = false;
   bool help = false;
@@ -147,13 +146,10 @@ int main(int argc, char** argv) {
       .flag("json", &print_json, "print the JSON report to stdout")
       .flag("quiet", &quiet, "suppress the summary table")
       .flag("progress", &progress,
-            "print one machine-parsable line per finished job")
+            "print one JSON job event per finished job on stdout")
       .option_optional("live", &live_value, &live_flag,
                        "live stderr display: state (timeline, default) or "
                        "metrics (ticker); auto-off when stderr is no TTY")
-      .flag("live-lines", &live_lines,
-            "print one machine-parsable ##hlsprof-live totals line per "
-            "finished job")
       .flag("no-color", &no_color, "disable ANSI colors in the live display")
       .option_int("shards", &shards,
                   "split jobs across N child processes and merge the "
@@ -193,13 +189,18 @@ int main(int argc, char** argv) {
     return usage(parser, stderr);
   }
   const std::string manifest_path = parser.positionals().front();
+  if (workers_override < 0 &&
+      workers_override != std::numeric_limits<long long>::min()) {
+    std::fprintf(stderr, "hlsprof-run: --workers must be >= 0\n");
+    return usage(parser, stderr);
+  }
 
   live::LiveMode live_mode = live::LiveMode::off;
   if (live_flag && !live::parse_live_mode(live_value, &live_mode)) {
     std::fprintf(stderr, "hlsprof-run: --live must be 'state' or 'metrics'\n");
     return usage(parser, stderr);
   }
-  // The human display needs a terminal; the machine channel does not.
+  // The display needs a terminal.
   const bool live_tty = ::isatty(::fileno(stderr)) != 0;
   const bool live_display = live_mode != live::LiveMode::off && live_tty &&
                             !quiet;
@@ -284,39 +285,36 @@ int main(int argc, char** argv) {
     const bool merged_chrome = !chrome_trace.empty() && sopts.connect.empty();
     if (merged_chrome) sopts.chrome_trace_out = chrome_trace;
 
-    // Fleet live view: children emit ##hlsprof-live totals lines on their
-    // progress pipes; the coordinator aggregates them per shard.
+    // Children print job events on their progress pipes: forward them
+    // under --progress, fold them into the fleet view under --live.
     std::unique_ptr<live::FleetView> fleet;
-    std::mutex fleet_line_mu;
-    if ((live_mode != live::LiveMode::off || live_lines) &&
-        sopts.connect.empty()) {
-      sopts.child_live_lines = true;
-      live::FleetOptions fopts;
-      if (live_display) {
-        fopts.display = stderr;
-        fopts.in_place = true;
+    if (live_display && sopts.connect.empty()) {
+      std::size_t jobs_total = 0;
+      try {
+        const runner::ManifestRun run = runner::load_manifest(manifest_path);
+        jobs_total = run.options.select.empty() ? run.batch.size()
+                                                : run.options.select.size();
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
+        return 2;
       }
-      fleet = std::make_unique<live::FleetView>(sopts.shards, fopts);
+      fleet = std::make_unique<live::FleetView>(
+          jobs_total, live::FleetOptions{.display = stderr, .in_place = true});
+      // The in-place fleet frame replaces per-job chatter; dropping the
+      // progress batches keeps the frame intact.
+      sopts.emit_progress = [](const std::string&) {};
+    }
+    if (progress || fleet) {
       live::FleetView* fleet_ptr = fleet.get();
-      const bool emit_fleet_lines = live_lines;
-      sopts.on_child_line = [fleet_ptr, emit_fleet_lines, &fleet_line_mu](
-                                int shard, const std::string& line) {
-        live::LiveLine l;
-        if (!live::parse_live_line(line, &l)) return;
-        fleet_ptr->update(shard, l);
-        if (emit_fleet_lines) {
-          const std::string out =
-              live::format_live_line(fleet_ptr->merged()) + "\n";
-          std::lock_guard<std::mutex> lock(fleet_line_mu);
-          std::fwrite(out.data(), 1, out.size(), stdout);
+      sopts.on_job_event = [progress, fleet_ptr](int shard,
+                                                 const std::string& line,
+                                                 const runner::JobEvent& e) {
+        if (progress) {
+          std::fputs((line + "\n").c_str(), stdout);
           std::fflush(stdout);
         }
+        if (fleet_ptr != nullptr) fleet_ptr->update(shard, e);
       };
-      if (live_display) {
-        // The in-place fleet frame replaces per-job chatter; dropping the
-        // progress batches keeps the frame intact.
-        sopts.emit_progress = [](const std::string&) {};
-      }
     }
 
     runner::ShardResult sharded;
@@ -359,34 +357,37 @@ int main(int argc, char** argv) {
     if (cache_max_bytes >= 0) {
       run.options.cache_max_bytes = std::uint64_t(cache_max_bytes);
     }
-    std::mutex progress_mu;
-    if (progress) {
-      run.options.on_job_done = [&progress_mu](const runner::JobResult& j) {
-        // One flushed line per job so a piped consumer (the shard
-        // coordinator) sees completions as they happen.
-        std::lock_guard<std::mutex> lock(progress_mu);
-        std::fputs((runner::format_progress_line(j) + "\n").c_str(), stdout);
-        std::fflush(stdout);
-      };
-    }
-
-    // Live observer: a pure tee off the decoded record stream — the
-    // canonical report and trace bytes are identical with it on or off.
+    // Live display: reads each job's canonical timeline fold and its job
+    // event — the report and trace bytes are identical with it on or off.
     std::unique_ptr<live::BatchLiveReporter> reporter;
-    if (live_mode != live::LiveMode::off || live_lines) {
+    if (live_display) {
       live::ReporterOptions lopts;
       lopts.mode = live_mode;
-      if (live_display) {
-        lopts.display = stderr;
-        lopts.color = live_color;
-      }
-      if (live_lines) lopts.line_out = stdout;
-      // Under `select` (a shard child) only the selected slice runs.
-      lopts.jobs_total = run.options.select.empty()
-                             ? run.batch.size()
-                             : run.options.select.size();
+      lopts.display = stderr;
+      lopts.color = live_color;
       reporter = std::make_unique<live::BatchLiveReporter>(lopts);
-      run.options.observer = reporter.get();
+      if (live_mode == live::LiveMode::state) {
+        live::BatchLiveReporter* r = reporter.get();
+        run.options.on_trace = [r](int index, const std::string& name,
+                                   const trace::TimedTraceBuilder& b) {
+          r->on_trace(index, name, b);
+        };
+      }
+    }
+    std::mutex progress_mu;
+    if (progress || reporter) {
+      live::BatchLiveReporter* r = reporter.get();
+      run.options.on_job_event = [progress, r,
+                                  &progress_mu](const runner::JobEvent& e) {
+        if (progress) {
+          // One flushed line per job so a piped consumer (the shard
+          // coordinator) sees completions as they happen.
+          std::lock_guard<std::mutex> lock(progress_mu);
+          std::fputs((runner::format_job_event(e) + "\n").c_str(), stdout);
+          std::fflush(stdout);
+        }
+        if (r != nullptr) r->on_job_event(e);
+      };
     }
 
     try {

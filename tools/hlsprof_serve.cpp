@@ -25,9 +25,10 @@
 //   --submit sends the manifest text and prints (or writes, with
 //   --report-out) the returned canonical report — byte-identical to
 //   `hlsprof-run MANIFEST --canonical --json` for the same manifest.
-//   With --watch the daemon streams one progress event per finished job
-//   and the client prints "[done/jobs] name status" lines to stderr as
-//   they arrive; the report bytes on stdout are unchanged.
+//   With --watch the daemon streams one job event per finished job (the
+//   JSON line `hlsprof-run --progress` prints, plus the request "id") and
+//   the client copies each line to stderr as it arrives, even under
+//   --quiet; the report bytes on stdout are unchanged.
 //   --metrics prints a human-readable aligned table; --json switches to
 //   the raw "hlsprof-telemetry" snapshot JSON.
 //
@@ -153,8 +154,8 @@ int main(int argc, char** argv) {
       .option("report-out", &report_out,
               "client mode: write the returned report here instead of stdout")
       .flag("watch", &watch,
-            "client mode: stream per-job progress lines to stderr while "
-            "the submission runs")
+            "client mode: copy one job-event line per finished job to "
+            "stderr while the submission runs")
       .flag("metrics", &metrics, "client mode: fetch the telemetry snapshot")
       .flag("json", &metrics_json,
             "client mode: print --metrics as raw snapshot JSON instead of "
@@ -183,6 +184,11 @@ int main(int argc, char** argv) {
   }
   if (socket_path.empty()) {
     std::fprintf(stderr, "hlsprof-serve: --socket is required\n");
+    return usage(parser, stderr);
+  }
+
+  if (workers < 0) {
+    std::fprintf(stderr, "hlsprof-serve: --workers must be >= 0\n");
     return usage(parser, stderr);
   }
 
@@ -243,10 +249,8 @@ int main(int argc, char** argv) {
     if (watch) {
       r = client.submit_watch(
           ss.str(),
-          [quiet](const serve::Response& ev) {
-            if (quiet) return;
-            std::fprintf(stderr, "[%d/%d] %s %s\n", ev.done, ev.jobs,
-                         ev.name.c_str(), ev.status.c_str());
+          [](const std::string& line, const runner::JobEvent&) {
+            std::fprintf(stderr, "%s\n", line.c_str());
           },
           client_name, int(priority));
     } else {
