@@ -115,7 +115,7 @@ FleetView::FleetView(std::size_t jobs_total, FleetOptions opts)
 
 void FleetView::update(int shard, const runner::JobEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (finished_ || !folded_.insert(e.index).second) return;
+  if (finished_) return;
   total_.add(e);
   JobTotals& lane = lanes_[shard];
   lane.jobs = e.jobs;

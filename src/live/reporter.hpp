@@ -21,7 +21,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "live/timeline.hpp"
@@ -105,14 +104,13 @@ struct FleetOptions {
 };
 
 /// Coordinator-side fold of the job events of a shard fleet. Thread-safe.
+/// Each job is folded as often as it is passed in; the shard coordinator
+/// (ShardOptions::on_job_event) passes on only the first copy of a job.
 class FleetView {
  public:
   FleetView(std::size_t jobs_total, FleetOptions opts);
 
-  /// Fold a job event shard `shard` reported and (throttled) redraw. A
-  /// job index already folded — a re-dispatched shard or a speculative
-  /// backup announcing it again — is ignored: the first copy wins, the
-  /// rule runner::merge_job_results applies to reports.
+  /// Fold a job event shard `shard` reported and (throttled) redraw.
   void update(int shard, const runner::JobEvent& e);
 
   JobTotals merged() const;
@@ -127,9 +125,8 @@ class FleetView {
 
   FleetOptions opts_;
   mutable std::mutex mu_;
-  std::map<int, JobTotals> lanes_;  // per shard: the jobs it reported first
+  std::map<int, JobTotals> lanes_;  // per shard: the jobs it reported
   JobTotals total_;
-  std::set<int> folded_;  // job indices in total_
   int prev_frame_lines_ = 0;
   bool finished_ = false;
   std::chrono::steady_clock::time_point last_render_{};

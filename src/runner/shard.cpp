@@ -14,6 +14,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -23,7 +24,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "runner/manifest.hpp"
@@ -62,6 +62,18 @@ const JsonValue& need(const JsonValue& obj, const char* key) {
   return *v;
 }
 
+/// An integer field that must lie in [lo, hi]: a plain narrowing cast
+/// would wrap an out-of-range value onto a valid one.
+int need_int(const JsonValue& obj, const char* key, int lo, int hi) {
+  const std::int64_t v = need(obj, key).as_int64();
+  if (v < lo || v > hi) {
+    fail(strf("shard: report field \"%s\" is out of range (%lld, expected "
+              "%d..%d)",
+              key, static_cast<long long>(v), lo, hi));
+  }
+  return int(v);
+}
+
 JobStatus status_from_name(const std::string& name) {
   if (const auto s = job_status_from_name(name)) return *s;
   fail("shard: report has unknown job status \"" + name + "\"");
@@ -79,35 +91,12 @@ std::uint64_t key_from_hex(const std::string& hex) {
 
 }  // namespace
 
-ShardStrategy shard_strategy_from_name(const std::string& name) {
-  if (name == "block") return ShardStrategy::block;
-  if (name == "round_robin" || name == "round-robin") {
-    return ShardStrategy::round_robin;
-  }
-  fail("shard: unknown strategy \"" + name +
-       "\" (expected block or round_robin)");
-}
-
 std::vector<std::vector<int>> split_indices(const std::vector<int>& universe,
-                                            int shards,
-                                            ShardStrategy strategy) {
+                                            int shards) {
   HLSPROF_CHECK(shards >= 1, "shard: shard count must be >= 1");
-  std::vector<std::vector<int>> out;
-  out.resize(std::size_t(shards));
-  if (strategy == ShardStrategy::round_robin) {
-    for (std::size_t i = 0; i < universe.size(); ++i) {
-      out[i % std::size_t(shards)].push_back(universe[i]);
-    }
-    return out;
-  }
-  // block: contiguous chunks, the first (size % shards) chunks one longer.
-  const std::size_t base = universe.size() / std::size_t(shards);
-  std::size_t extra = universe.size() % std::size_t(shards);
-  std::size_t pos = 0;
-  for (auto& chunk : out) {
-    std::size_t n = base + (extra > 0 ? 1 : 0);
-    if (extra > 0) --extra;
-    for (std::size_t k = 0; k < n; ++k) chunk.push_back(universe[pos++]);
+  std::vector<std::vector<int>> out(static_cast<std::size_t>(shards));
+  for (std::size_t i = 0; i < universe.size(); ++i) {
+    out[i % std::size_t(shards)].push_back(universe[i]);
   }
   return out;
 }
@@ -150,7 +139,7 @@ std::vector<JobResult> parse_report_jobs(
   std::vector<JobResult> out;
   for (const JsonValue& jv : need(doc, "jobs").items()) {
     JobResult j;
-    j.index = int(need(jv, "index").as_int64());
+    j.index = need_int(jv, "index", 0, std::numeric_limits<int>::max());
     j.name = need(jv, "name").as_string();
     j.status = status_from_name(need(jv, "status").as_string());
     if (const JsonValue* e = jv.find("error")) j.error = e->as_string();
@@ -160,7 +149,7 @@ std::vector<JobResult> parse_report_jobs(
     j.fmax_mhz = need(design, "fmax_mhz").as_double();
     j.alm = need(design, "alm").as_double();
     j.bram_bits = need(design, "bram_bits").as_double();
-    j.num_threads = int(need(design, "num_threads").as_int64());
+    j.num_threads = need_int(design, "num_threads", 0, 64);
     const JsonValue& run = need(jv, "run");
     j.total_cycles = cycle_t(need(run, "total_cycles").as_uint64());
     j.kernel_cycles = cycle_t(need(run, "kernel_cycles").as_uint64());
@@ -190,7 +179,7 @@ std::vector<JobResult> parse_report_jobs(
 
 BatchResult merge_job_results(
     const std::vector<std::vector<JobResult>>& per_shard,
-    const std::vector<int>& expected_indices, int* duplicates) {
+    const std::vector<int>& expected_indices) {
   std::unordered_map<int, std::size_t> slot_of;
   slot_of.reserve(expected_indices.size());
   for (std::size_t k = 0; k < expected_indices.size(); ++k) {
@@ -198,9 +187,8 @@ BatchResult merge_job_results(
   }
   BatchResult merged;
   merged.jobs.resize(expected_indices.size());
-  std::unordered_set<int> remaining(expected_indices.begin(),
-                                    expected_indices.end());
-  int dups = 0;
+  std::vector<bool> filled(expected_indices.size(), false);
+  std::size_t missing = expected_indices.size();
   for (const auto& shard_jobs : per_shard) {
     for (const JobResult& j : shard_jobs) {
       const auto it = slot_of.find(j.index);
@@ -208,21 +196,19 @@ BatchResult merge_job_results(
         fail(strf("shard: merged report contains unexpected job index %d",
                   j.index));
       }
-      if (remaining.erase(j.index) == 0) {
-        ++dups;  // a later byte-identical copy; first one already won
-        continue;
-      }
+      if (filled[it->second]) continue;  // the first copy already won
+      filled[it->second] = true;
       merged.jobs[it->second] = j;
+      --missing;
     }
   }
-  if (!remaining.empty()) {
-    int lowest = *remaining.begin();
-    for (int i : remaining) lowest = std::min(lowest, i);
-    fail(strf("shard: no shard delivered job index %d (%zu missing)",
-              lowest, remaining.size()));
+  for (std::size_t k = 0; k < filled.size(); ++k) {
+    if (!filled[k]) {
+      fail(strf("shard: no shard delivered job index %d (%zu missing)",
+                expected_indices[k], missing));
+    }
   }
   rebase_cache_stats(merged);
-  if (duplicates != nullptr) *duplicates = dups;
   return merged;
 }
 
@@ -241,51 +227,10 @@ struct Event {
   std::string error;
 };
 
-/// The coordinator's one stderr funnel (ISSUE: merged progress lines
-/// must never tear mid-line). Lines accumulate into a pending buffer
-/// under a mutex and are flushed as a single fwrite per event-loop
-/// drain, so output from the coordinator interleaves with the childrens'
-/// inherited stderr only at batch boundaries, never inside a line.
-class ProgressWriter {
- public:
-  explicit ProgressWriter(
-      const std::function<void(const std::string&)>& emit)
-      : emit_(emit) {}
-
-  /// Queue one line (no trailing newline).
-  void note(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_ += line;
-    pending_ += '\n';
-  }
-
-  /// Write everything queued since the last flush in one atomic batch.
-  void flush() {
-    std::string batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.empty()) return;
-      batch.swap(pending_);
-    }
-    if (emit_) {
-      emit_(batch);
-      return;
-    }
-    std::fwrite(batch.data(), 1, batch.size(), stderr);
-    std::fflush(stderr);
-  }
-
- private:
-  const std::function<void(const std::string&)>& emit_;
-  std::mutex mu_;
-  std::string pending_;
-};
-
 struct ShardTelemetry {
   telemetry::Counter& launched;
   telemetry::Counter& redispatched;
   telemetry::Counter& jobs_redispatched;
-  telemetry::Counter& duplicates;
   telemetry::Histogram& wall_ms;
   static ShardTelemetry& get() {
     auto& reg = telemetry::Registry::global();
@@ -293,7 +238,6 @@ struct ShardTelemetry {
         reg.counter("shard.launched"),
         reg.counter("shard.redispatched"),
         reg.counter("shard.jobs_redispatched"),
-        reg.counter("shard.duplicates"),
         reg.histogram("shard.wall_ms",
                       telemetry::exp_bounds(16.0, 2.0, 16), "ms"),
     };
@@ -301,15 +245,14 @@ struct ShardTelemetry {
   }
 };
 
-/// One launched shard (initial, replacement, or speculative backup).
+/// One launched child process (initial split or replacement).
 struct Shard {
   int id = 0;
   std::vector<int> indices;  // original job indices it was given
-  std::thread thread;
-  int pid = -1;  // process mode; -1 in daemon mode
+  std::thread thread;        // reads the child's stdout, then its exit
+  int pid = -1;
   std::chrono::steady_clock::time_point start;
   bool exited = false;
-  bool speculated = false;  // a backup was already launched for it
   /// Launch time on the coordinator's telemetry clock (µs since the
   /// registry epoch): the offset that rebases this child's trace onto
   /// the fleet timeline.
@@ -323,20 +266,18 @@ class Coordinator {
       : text_(std::move(manifest_text)), opt_(opt) {}
 
   ~Coordinator() {
-    // Defensive: on any exit path, no child outlives the coordinator and
+    // Defensive: on an error path (a failed pipe, fork or sub-manifest
+    // write while other shards run) no child outlives the coordinator and
     // every reader thread is joined.
-    kill_running();
+    for (auto& s : shards_) {
+      if (!s->exited && s->pid > 0) ::kill(pid_t(s->pid), SIGKILL);
+    }
     for (auto& s : shards_) {
       if (s->thread.joinable()) s->thread.join();
     }
     for (auto& s : shards_) {
-      // Reap children whose exit events were never processed (error
-      // paths); ECHILD for already-reaped ones is harmless.
-      if (s->pid > 0 && !s->exited) {
-        int status = 0;
-        while (::waitpid(pid_t(s->pid), &status, 0) < 0 && errno == EINTR) {
-        }
-      }
+      // Reap children whose exit events were never processed.
+      if (s->pid > 0 && !s->exited) reap(s->pid);
     }
     if (!tmpdir_.empty()) {
       std::error_code ec;
@@ -351,16 +292,21 @@ class Coordinator {
 
   void prepare();
   void launch(std::vector<int> indices);
-  void launch_process_shard(Shard& s);
-  void launch_daemon_shard(Shard& s);
+  void read_shard(int shard_id, int read_fd, int pid,
+                  const std::string& report_path);
   void handle_event(const Event& e);
   void handle_exit(const Event& e);
   void redispatch(const Shard& from, std::vector<int> outstanding,
-                  const std::string& why, bool speculative);
-  void check_stragglers();
-  void kill_running();
+                  const std::string& why);
   std::vector<int> outstanding_of(const Shard& s) const;
-  double elapsed_ms(clock::time_point since) const {
+  void write_merged_chrome_trace();
+
+  static void reap(int pid) {
+    int status = 0;
+    while (::waitpid(pid_t(pid), &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+  static double elapsed_ms(clock::time_point since) {
     return std::chrono::duration<double, std::milli>(clock::now() - since)
         .count();
   }
@@ -371,27 +317,20 @@ class Coordinator {
     cv_.notify_one();
   }
 
-  void write_merged_chrome_trace();
-
   std::string text_;
   const ShardOptions& opt_;
-  ProgressWriter progress_{opt_.emit_progress};
 
   ManifestRun run_;           // parsed once for label/out/size
   std::vector<int> universe_;  // indices the merged result must cover
-  std::unordered_map<int, std::size_t> slot_of_;
-  std::vector<JobResult> slots_;
-  std::unordered_set<int> remaining_;
+  std::vector<std::vector<JobResult>> reports_;  // accepted shard reports
+  std::unordered_set<int> remaining_;   // not yet in any accepted report
   std::unordered_set<int> progressed_;  // distinct indices seen on pipes
 
   std::string tmpdir_;
   std::string runner_binary_;
   int workers_per_shard_ = 1;
+  int running_ = 0;  // launched shards whose exit is not yet handled
   int redispatches_ = 0;
-  int max_redispatch_ = 0;
-  int duplicates_ = 0;
-  std::size_t daemon_rr_ = 0;  // round-robin cursor over opt_.connect
-  std::vector<double> completed_walls_;
   std::string fatal_;
 
   // unique_ptr: Shard holds a thread and is referenced by id across
@@ -405,12 +344,6 @@ class Coordinator {
 
 void Coordinator::prepare() {
   HLSPROF_CHECK(opt_.shards >= 1, "shard: --shards must be >= 1");
-  const bool daemon_mode = !opt_.connect.empty();
-  if (daemon_mode) {
-    HLSPROF_CHECK(opt_.submit != nullptr,
-                  "shard: daemon mode requires a submit hook");
-  }
-
   run_ = parse_manifest(text_);
   HLSPROF_CHECK(run_.batch.size() > 0, "shard: manifest expands to no jobs");
   if (run_.options.select.empty()) {
@@ -419,41 +352,33 @@ void Coordinator::prepare() {
   } else {
     universe_ = run_.options.select;  // shard over the manifest's own subset
   }
-  slots_.resize(universe_.size());
-  for (std::size_t k = 0; k < universe_.size(); ++k) {
-    slot_of_.emplace(universe_[k], k);
-  }
   remaining_.insert(universe_.begin(), universe_.end());
 
-  max_redispatch_ =
-      opt_.max_redispatch > 0 ? opt_.max_redispatch : 2 * opt_.shards;
   workers_per_shard_ =
       opt_.workers_per_shard > 0
           ? opt_.workers_per_shard
           : std::max(1, Pool::resolve_workers(0) / opt_.shards);
 
-  if (!daemon_mode) {
-    if (!opt_.runner_binary.empty()) {
-      runner_binary_ = opt_.runner_binary;
-    } else {
-      char buf[4096];
-      const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-      HLSPROF_CHECK(n > 0, "shard: cannot resolve the runner binary "
-                           "(/proc/self/exe unreadable)");
-      buf[n] = '\0';
-      runner_binary_ = buf;
-    }
-    if (::access(runner_binary_.c_str(), X_OK) != 0) {
-      fail("shard: runner binary is not executable: " + runner_binary_);
-    }
-    std::string tmpl =
-        (fs::temp_directory_path() / "hlsprof-shard-XXXXXX").string();
-    std::vector<char> mut(tmpl.begin(), tmpl.end());
-    mut.push_back('\0');
-    HLSPROF_CHECK(::mkdtemp(mut.data()) != nullptr,
-                  "shard: cannot create scratch directory");
-    tmpdir_ = mut.data();
+  if (!opt_.runner_binary.empty()) {
+    runner_binary_ = opt_.runner_binary;
+  } else {
+    char buf[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
+    HLSPROF_CHECK(n > 0, "shard: cannot resolve the runner binary "
+                         "(/proc/self/exe unreadable)");
+    buf[n] = '\0';
+    runner_binary_ = buf;
   }
+  if (::access(runner_binary_.c_str(), X_OK) != 0) {
+    fail("shard: runner binary is not executable: " + runner_binary_);
+  }
+  std::string tmpl =
+      (fs::temp_directory_path() / "hlsprof-shard-XXXXXX").string();
+  std::vector<char> mut(tmpl.begin(), tmpl.end());
+  mut.push_back('\0');
+  HLSPROF_CHECK(::mkdtemp(mut.data()) != nullptr,
+                "shard: cannot create scratch directory");
+  tmpdir_ = mut.data();
 }
 
 void Coordinator::launch(std::vector<int> indices) {
@@ -464,14 +389,7 @@ void Coordinator::launch(std::vector<int> indices) {
   Shard& s = *shards_.emplace_back(std::move(shard));
   auto& reg = telemetry::Registry::global();
   if (reg.enabled()) ShardTelemetry::get().launched.add(1);
-  if (opt_.connect.empty()) {
-    launch_process_shard(s);
-  } else {
-    launch_daemon_shard(s);
-  }
-}
 
-void Coordinator::launch_process_shard(Shard& s) {
   const std::string manifest_path =
       (fs::path(tmpdir_) / strf("shard-%d.manifest", s.id)).string();
   const std::string out_prefix =
@@ -508,7 +426,7 @@ void Coordinator::launch_process_shard(Shard& s) {
         (fs::path(tmpdir_) / strf("shard-%d.trace.json", s.id)).string();
     args.push_back("--chrome-trace=" + s.chrome_path);
   }
-  s.t0_us = telemetry::Registry::global().now_us();
+  s.t0_us = reg.now_us();
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (auto& a : args) argv.push_back(a.data());
@@ -519,7 +437,7 @@ void Coordinator::launch_process_shard(Shard& s) {
   const pid_t pid = ::fork();
   HLSPROF_CHECK(pid >= 0, "shard: fork failed");
   if (pid == 0) {
-    // Child: progress lines go up the pipe; stderr stays inherited.
+    // Child: job events go up the pipe; stderr stays inherited.
     // Only async-signal-safe calls between fork and exec.
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
@@ -529,78 +447,60 @@ void Coordinator::launch_process_shard(Shard& s) {
   }
   ::close(fds[1]);
   s.pid = int(pid);
+  ++running_;
   if (opt_.on_spawn) opt_.on_spawn(s.id, s.pid);
-
-  const int shard_id = s.id;
-  const int read_fd = fds[0];
-  const std::string report_path = out_prefix + ".json";
-  s.thread = std::thread([this, shard_id, read_fd, pid, report_path] {
-    std::FILE* f = ::fdopen(read_fd, "r");
-    if (f != nullptr) {
-      char* line = nullptr;
-      std::size_t cap = 0;
-      ssize_t n = 0;
-      while ((n = ::getline(&line, &cap, f)) >= 0) {
-        const std::string raw(line, std::size_t(n));
-        Event e;
-        e.kind = Event::Kind::job_done;
-        e.shard = shard_id;
-        // Anything that is not a job event is stdout chatter: ignored.
-        if (parse_job_event(raw, &e.job)) {
-          e.line = trim(raw);
-          push(std::move(e));
-        }
-      }
-      std::free(line);
-      std::fclose(f);
-    } else {
-      ::close(read_fd);
-    }
-    // Peek the exit status WITHOUT reaping (WNOWAIT): the coordinator
-    // may still SIGKILL this pid (straggler cleanup), which must never
-    // race with pid recycling. The coordinator reaps after it marks the
-    // shard exited, at which point it will never signal the pid again.
-    siginfo_t si{};
-    while (::waitid(P_PID, id_t(pid), &si, WEXITED | WNOWAIT) < 0 &&
-           errno == EINTR) {
-    }
-    Event e;
-    e.kind = Event::Kind::shard_exit;
-    e.shard = shard_id;
-    // Exit 1 means some jobs failed — their failures belong in the
-    // merged report, so the shard itself still succeeded.
-    if (si.si_code == CLD_EXITED && (si.si_status == 0 || si.si_status == 1)) {
-      e.report = read_file_or_empty(report_path);
-      e.ok = !e.report.empty();
-      if (!e.ok) e.error = "exited cleanly but wrote no report";
-    } else if (si.si_code == CLD_KILLED || si.si_code == CLD_DUMPED) {
-      e.error = strf("killed by signal %d", si.si_status);
-    } else {
-      e.error = strf("exited with status %d%s", si.si_status,
-                     si.si_status == 127 ? " (exec failed?)" : "");
-    }
-    push(std::move(e));
-  });
+  s.thread = std::thread(&Coordinator::read_shard, this, s.id, fds[0],
+                         s.pid, out_prefix + ".json");
 }
 
-void Coordinator::launch_daemon_shard(Shard& s) {
-  const std::string socket = opt_.connect[daemon_rr_++ % opt_.connect.size()];
-  const std::string manifest = make_sub_manifest(
-      text_, s.indices, opt_.seed_override, opt_.approx_trace);
-  const int shard_id = s.id;
-  s.thread = std::thread([this, shard_id, socket, manifest] {
-    Event e;
-    e.kind = Event::Kind::shard_exit;
-    e.shard = shard_id;
-    try {
-      e.report = opt_.submit(socket, manifest, strf("shard-%d", shard_id));
-      e.ok = !e.report.empty();
-      if (!e.ok) e.error = "daemon at " + socket + " returned no report";
-    } catch (const std::exception& ex) {
-      e.error = ex.what();
+void Coordinator::read_shard(int shard_id, int read_fd, int pid,
+                             const std::string& report_path) {
+  std::FILE* f = ::fdopen(read_fd, "r");
+  if (f != nullptr) {
+    char* line = nullptr;
+    std::size_t cap = 0;
+    ssize_t n = 0;
+    while ((n = ::getline(&line, &cap, f)) >= 0) {
+      const std::string raw(line, std::size_t(n));
+      Event e;
+      e.kind = Event::Kind::job_done;
+      e.shard = shard_id;
+      // Anything that is not a job event is stdout chatter: ignored.
+      if (parse_job_event(raw, &e.job)) {
+        e.line = trim(raw);
+        push(std::move(e));
+      }
     }
-    push(std::move(e));
-  });
+    std::free(line);
+    std::fclose(f);
+  } else {
+    ::close(read_fd);
+  }
+  // Peek the exit status WITHOUT reaping (WNOWAIT): until the coordinator
+  // has handled this exit, its destructor may still SIGKILL the pid on an
+  // error path, which must never race with pid recycling. The coordinator
+  // reaps after it marks the shard exited, at which point it will never
+  // signal the pid again.
+  siginfo_t si{};
+  while (::waitid(P_PID, id_t(pid), &si, WEXITED | WNOWAIT) < 0 &&
+         errno == EINTR) {
+  }
+  Event e;
+  e.kind = Event::Kind::shard_exit;
+  e.shard = shard_id;
+  // Exit 1 means some jobs failed — their failures belong in the
+  // merged report, so the shard itself still succeeded.
+  if (si.si_code == CLD_EXITED && (si.si_status == 0 || si.si_status == 1)) {
+    e.report = read_file_or_empty(report_path);
+    e.ok = !e.report.empty();
+    if (!e.ok) e.error = "exited cleanly but wrote no report";
+  } else if (si.si_code == CLD_KILLED || si.si_code == CLD_DUMPED) {
+    e.error = strf("killed by signal %d", si.si_status);
+  } else {
+    e.error = strf("exited with status %d%s", si.si_status,
+                   si.si_status == 127 ? " (exec failed?)" : "");
+  }
+  push(std::move(e));
 }
 
 std::vector<int> Coordinator::outstanding_of(const Shard& s) const {
@@ -612,13 +512,13 @@ std::vector<int> Coordinator::outstanding_of(const Shard& s) const {
 }
 
 void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
-                             const std::string& why, bool speculative) {
+                             const std::string& why) {
   if (!fatal_.empty()) return;
-  if (redispatches_ >= max_redispatch_) {
-    if (speculative) return;  // speculation is optional; give up quietly
+  const int budget = 2 * opt_.shards;
+  if (redispatches_ >= budget) {
     fatal_ = strf("shard: re-dispatch budget (%d) exhausted; shard %d %s "
                   "with %zu jobs outstanding",
-                  max_redispatch_, from.id, why.c_str(), outstanding.size());
+                  budget, from.id, why.c_str(), outstanding.size());
     return;
   }
   ++redispatches_;
@@ -629,10 +529,11 @@ void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
     t.jobs_redispatched.add(static_cast<long long>(outstanding.size()));
   }
   if (!opt_.quiet) {
-    progress_.note(strf("hlsprof-run: shard %d %s; re-dispatching %zu jobs "
-                        "as shard %zu",
-                        from.id, why.c_str(), outstanding.size(),
-                        shards_.size()));
+    std::fputs(strf("hlsprof-run: shard %d %s; re-dispatching %zu jobs as "
+                    "shard %zu\n",
+                    from.id, why.c_str(), outstanding.size(), shards_.size())
+                   .c_str(),
+               stderr);
   }
   launch(std::move(outstanding));
 }
@@ -640,54 +541,28 @@ void Coordinator::redispatch(const Shard& from, std::vector<int> outstanding,
 void Coordinator::handle_exit(const Event& e) {
   Shard& s = *shards_[std::size_t(e.shard)];
   s.exited = true;
-  if (s.pid > 0) {
-    // Safe to reap now: with `exited` set, this pid is never signalled
-    // again, so recycling cannot misdirect a kill.
-    int status = 0;
-    while (::waitpid(pid_t(s.pid), &status, 0) < 0 && errno == EINTR) {
-    }
-  }
-  const double wall = elapsed_ms(s.start);
+  --running_;
+  // Safe to reap now: with `exited` set, this pid is never signalled
+  // again, so recycling cannot misdirect a kill.
+  reap(s.pid);
   auto& reg = telemetry::Registry::global();
-  if (reg.enabled()) ShardTelemetry::get().wall_ms.observe(wall);
+  if (reg.enabled()) ShardTelemetry::get().wall_ms.observe(elapsed_ms(s.start));
 
+  std::string why = e.error;
   if (e.ok) {
-    completed_walls_.push_back(wall);
-    std::vector<JobResult> jobs;
     try {
-      jobs = parse_report_jobs(e.report);
+      std::vector<JobResult> jobs = parse_report_jobs(e.report);
+      for (const JobResult& j : jobs) remaining_.erase(j.index);
+      reports_.push_back(std::move(jobs));
+      // A clean report holds every job the shard was given; if it does
+      // not (a bug), re-dispatch the rest rather than fail the run.
+      why = "delivered an incomplete report";
     } catch (const std::exception& ex) {
-      const std::vector<int> outstanding = outstanding_of(s);
-      if (!outstanding.empty()) {
-        redispatch(s, outstanding,
-                   strf("returned an unreadable report (%s)", ex.what()),
-                   /*speculative=*/false);
-      }
-      return;
+      why = strf("returned an unreadable report (%s)", ex.what());
     }
-    for (JobResult& j : jobs) {
-      const auto it = slot_of_.find(j.index);
-      if (it == slot_of_.end()) continue;  // not ours (defensive)
-      if (remaining_.erase(j.index) == 0) {
-        ++duplicates_;  // a speculative copy finished twice
-        if (reg.enabled()) ShardTelemetry::get().duplicates.add(1);
-        continue;
-      }
-      slots_[it->second] = std::move(j);
-    }
-    // A clean report that still left some of the shard's jobs unmerged
-    // (truncated select handling would be a bug, but stay robust).
-    const std::vector<int> missing = outstanding_of(s);
-    if (!missing.empty()) {
-      redispatch(s, missing, "delivered an incomplete report",
-                 /*speculative=*/false);
-    }
-    return;
   }
-
-  const std::vector<int> outstanding = outstanding_of(s);
-  if (outstanding.empty()) return;  // redundant copy we killed; expected
-  redispatch(s, outstanding, e.error, /*speculative=*/false);
+  std::vector<int> outstanding = outstanding_of(s);
+  if (!outstanding.empty()) redispatch(s, std::move(outstanding), why);
 }
 
 void Coordinator::handle_event(const Event& e) {
@@ -697,107 +572,49 @@ void Coordinator::handle_event(const Event& e) {
   }
   if (!progressed_.insert(e.job.index).second) return;
   if (opt_.on_job_event) opt_.on_job_event(e.shard, e.line, e.job);
-  if (!opt_.quiet) {
-    progress_.note(strf("hlsprof-run: [shard %d] %s %s (%zu/%zu)", e.shard,
-                        e.job.name.c_str(), job_status_name(e.job.status),
-                        progressed_.size(), universe_.size()));
-  }
-}
-
-void Coordinator::check_stragglers() {
-  // Process mode only: a daemon submission cannot be abandoned, so a
-  // speculative duplicate could not be cancelled and its thread would
-  // block past the end of the run.
-  if (!opt_.connect.empty() || opt_.straggler_factor <= 0) return;
-  if (completed_walls_.size() < 2) return;
-  std::vector<double> walls = completed_walls_;
-  const std::size_t mid = walls.size() / 2;
-  std::nth_element(walls.begin(), walls.begin() + mid, walls.end());
-  const double median = walls[mid];
-  const double threshold =
-      std::max(opt_.straggler_min_ms, opt_.straggler_factor * median);
-  const std::size_t launched = shards_.size();
-  for (std::size_t k = 0; k < launched; ++k) {
-    Shard& s = *shards_[k];
-    if (s.exited || s.speculated) continue;
-    if (elapsed_ms(s.start) <= threshold) continue;
-    const std::vector<int> outstanding = outstanding_of(s);
-    if (outstanding.empty()) continue;
-    s.speculated = true;
-    redispatch(s, outstanding,
-               strf("is a straggler (%.0f ms vs %.0f ms median)",
-                    elapsed_ms(s.start), median),
-               /*speculative=*/true);
-  }
-}
-
-void Coordinator::kill_running() {
-  for (auto& sp : shards_) {
-    if (!sp->exited && sp->pid > 0) ::kill(pid_t(sp->pid), SIGKILL);
-  }
 }
 
 ShardResult Coordinator::run() {
   const clock::time_point t0 = clock::now();
   prepare();
-
-  const std::vector<std::vector<int>> parts =
-      split_indices(universe_, opt_.shards, opt_.strategy);
-  for (const auto& p : parts) {
-    if (!p.empty()) launch(p);
+  for (std::vector<int>& part : split_indices(universe_, opt_.shards)) {
+    if (!part.empty()) launch(std::move(part));
   }
 
-  const auto all_exited = [&] {
-    for (const auto& sp : shards_) {
-      if (!sp->exited) return false;
-    }
-    return true;
-  };
-
-  // Drive events until every job is merged (or the run is doomed and
-  // every shard has come home). Killed redundant shards report their
-  // (failed) exits through the same queue, so the loop also serves as
-  // the drain.
-  for (;;) {
+  // Drive events until every shard has come home. A dead shard is
+  // replaced while its exit is handled, so `running_` only reaches zero
+  // once every job is delivered or the budget is exhausted.
+  while (running_ > 0) {
     std::deque<Event> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock, std::chrono::milliseconds(200),
-                   [&] { return !events_.empty(); });
+      cv_.wait(lock, [&] { return !events_.empty(); });
       batch.swap(events_);
     }
     for (const Event& e : batch) handle_event(e);
-    progress_.flush();
-    if (remaining_.empty() && !all_exited()) kill_running();
-    if ((remaining_.empty() || !fatal_.empty()) && all_exited()) break;
-    if (!batch.empty()) continue;
-    check_stragglers();
   }
   for (auto& sp : shards_) {
     if (sp->thread.joinable()) sp->thread.join();
   }
   if (!fatal_.empty()) fail(fatal_);
-  HLSPROF_CHECK(remaining_.empty(), "shard: jobs left unmerged");
-
-  // Child trace files live in tmpdir_ (removed by the destructor), so
-  // the fleet trace must be assembled before run() returns.
-  write_merged_chrome_trace();
 
   ShardResult out;
-  out.merged.jobs = std::move(slots_);
-  rebase_cache_stats(out.merged);
+  out.merged = merge_job_results(reports_, universe_);
   out.merged.workers = workers_per_shard_ * opt_.shards;
   out.merged.wall_ms = elapsed_ms(t0);
   out.label = run_.label;
   out.out_prefix = run_.out_prefix;
   out.shards_launched = int(shards_.size());
   out.shards_redispatched = redispatches_;
-  out.duplicate_jobs = duplicates_;
+
+  // Child trace files live in tmpdir_ (removed by the destructor), so
+  // the fleet trace must be assembled before run() returns.
+  write_merged_chrome_trace();
   return out;
 }
 
 void Coordinator::write_merged_chrome_trace() {
-  if (opt_.chrome_trace_out.empty() || !opt_.connect.empty()) return;
+  if (opt_.chrome_trace_out.empty()) return;
   std::vector<telemetry::ChromeTraceInput> inputs;
   auto& reg = telemetry::Registry::global();
   if (reg.enabled()) {

@@ -262,24 +262,6 @@ TEST(LiveFleet, AggregatesShardLanes) {
   EXPECT_NE(fleet.render_frame().find("shard 4"), std::string::npos);
 }
 
-TEST(LiveFleet, JobReportedByTwoShardsCountsOnce) {
-  // Two jobs; shard 0 dies after announcing job 0, and its replacement
-  // (shard 2) announces job 0 again alongside job 1. A speculative
-  // backup (shard 3) then repeats both.
-  live::FleetView fleet(2, live::FleetOptions{});
-  fleet.update(0, event(0, 100, {0, 400, 0, 0}, 64));
-  fleet.update(2, event(0, 100, {0, 400, 0, 0}, 64));
-  fleet.update(2, event(1, 300, {1200, 0, 0, 0}, 0));
-  fleet.update(3, event(0, 100, {0, 400, 0, 0}, 64));
-  fleet.update(3, event(1, 300, {1200, 0, 0, 0}, 0));
-  const live::JobTotals m = fleet.merged();
-  EXPECT_EQ(m.done, 2u);
-  EXPECT_LE(m.done, m.jobs);
-  EXPECT_EQ(m.cycles, 400u);
-  EXPECT_EQ(m.bytes, 64u);
-  EXPECT_DOUBLE_EQ(m.share(1), 0.25);
-}
-
 // ---- merged chrome traces --------------------------------------------------
 
 TEST(LiveChromeMerge, NamespacesAndRebasesInputs) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -398,12 +399,27 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
   const std::filesystem::path manifest =
       std::filesystem::path(testing::TempDir()) / "negative_workers.manifest";
   std::ofstream(manifest) << "workload = pi\nsteps = 100\nthreads = 1\n";
-  EXPECT_EQ(exit_status(std::string(HLSPROF_RUN_BIN) + " " +
-                        manifest.string() + " --workers=-2 --quiet"),
-            2);
-  EXPECT_EQ(exit_status(std::string(HLSPROF_RUN_BIN) + " " +
-                        manifest.string() + " --workers=1 --quiet"),
-            0);
+  const std::string run =
+      std::string(HLSPROF_RUN_BIN) + " " + manifest.string() + " --quiet ";
+  // Out-of-range values and unknown flags are usage errors that name the
+  // flag.
+  for (const std::string flag :
+       {"--workers=-2", "--shards=0", "--shards=-2", "--seed=-5",
+        "--cache-max-bytes=-5", "--connect=x"}) {
+    std::FILE* p = ::popen((run + flag + " 2>&1").c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    std::string out(4096, '\0');
+    out.resize(std::fread(out.data(), 1, out.size(), p));
+    const int raw = ::pclose(p);
+    EXPECT_EQ(WIFEXITED(raw) ? WEXITSTATUS(raw) : -1, 2) << flag;
+    // The first line is the error; the usage text after it lists every
+    // flag, so only the first line can show the right one was named.
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(out.substr(0, out.find('\n')).find(name), std::string::npos)
+        << flag << ": " << out;
+  }
+  EXPECT_EQ(exit_status(run + "--workers=1"), 0);
+  EXPECT_EQ(exit_status(run + "--shards=1 --seed=0"), 0);
 }
 
 TEST(RunnerCli, ServeNegativeWorkersIsAUsageError) {

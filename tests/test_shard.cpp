@@ -1,8 +1,9 @@
 // Tests for the multi-process shard coordinator (src/runner/shard):
 // index partitioning, sub-manifest construction, the `select` control
-// key's slice determinism, report round-trip + merge byte-identity, and
-// end-to-end child-process runs including SIGKILL recovery and a warm
-// shared design cache across the fleet.
+// key's slice determinism, report round-trip + merge byte-identity, the
+// report parser under damaged input, and end-to-end child-process runs
+// including dead-shard recovery and a warm shared design cache across
+// the fleet.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -10,10 +11,12 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -91,42 +94,19 @@ std::string fresh_dir(const std::string& name) {
 
 TEST(ShardSplit, RoundRobinIsDisjointAndCovering) {
   const std::vector<int> universe = {0, 1, 2, 3, 4, 5, 6};
-  const auto parts =
-      runner::split_indices(universe, 3, runner::ShardStrategy::round_robin);
+  const auto parts = runner::split_indices(universe, 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0], (std::vector<int>{0, 3, 6}));
   EXPECT_EQ(parts[1], (std::vector<int>{1, 4}));
   EXPECT_EQ(parts[2], (std::vector<int>{2, 5}));
 }
 
-TEST(ShardSplit, BlockIsContiguousAndBalanced) {
-  const auto parts = runner::split_indices(iota_universe(7), 3,
-                                           runner::ShardStrategy::block);
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(parts[1], (std::vector<int>{3, 4}));
-  EXPECT_EQ(parts[2], (std::vector<int>{5, 6}));
-}
-
 TEST(ShardSplit, MoreShardsThanJobsLeavesEmptyParts) {
-  for (auto strategy :
-       {runner::ShardStrategy::block, runner::ShardStrategy::round_robin}) {
-    const auto parts = runner::split_indices(iota_universe(2), 5, strategy);
-    ASSERT_EQ(parts.size(), 5u);
-    std::multiset<int> seen;
-    for (const auto& p : parts) seen.insert(p.begin(), p.end());
-    EXPECT_EQ(seen, (std::multiset<int>{0, 1}));
-  }
-}
-
-TEST(ShardSplit, StrategyNames) {
-  EXPECT_EQ(runner::shard_strategy_from_name("block"),
-            runner::ShardStrategy::block);
-  EXPECT_EQ(runner::shard_strategy_from_name("round_robin"),
-            runner::ShardStrategy::round_robin);
-  EXPECT_EQ(runner::shard_strategy_from_name("round-robin"),
-            runner::ShardStrategy::round_robin);
-  EXPECT_THROW(runner::shard_strategy_from_name("diagonal"), Error);
+  const auto parts = runner::split_indices(iota_universe(2), 5);
+  ASSERT_EQ(parts.size(), 5u);
+  std::multiset<int> seen;
+  for (const auto& p : parts) seen.insert(p.begin(), p.end());
+  EXPECT_EQ(seen, (std::multiset<int>{0, 1}));
 }
 
 // ---- sub-manifests and the select key --------------------------------------
@@ -222,13 +202,10 @@ TEST(ShardMerge, MergedReportIsByteIdenticalToSingleRun) {
     const std::string label =
         runner::parse_manifest(text).label;
     const std::vector<int> universe = iota_universe(int(single.jobs.size()));
-    const auto parts =
-        runner::split_indices(universe, 3, runner::ShardStrategy::round_robin);
+    const auto parts = runner::split_indices(universe, 3);
 
-    int dups = -1;
-    const runner::BatchResult merged = runner::merge_job_results(
-        run_shards_inprocess(text, parts), universe, &dups);
-    EXPECT_EQ(dups, 0);
+    const runner::BatchResult merged =
+        runner::merge_job_results(run_shards_inprocess(text, parts), universe);
     EXPECT_EQ(canonical_report(merged, label),
               canonical_report(single, label));
     EXPECT_EQ(canonical_csv(merged, label), canonical_csv(single, label));
@@ -238,25 +215,21 @@ TEST(ShardMerge, MergedReportIsByteIdenticalToSingleRun) {
 TEST(ShardMerge, DuplicateCompletionsDedupDeterministically) {
   const runner::BatchResult single = run_whole(kManifest);
   const std::vector<int> universe = iota_universe(int(single.jobs.size()));
-  const auto parts =
-      runner::split_indices(universe, 2, runner::ShardStrategy::block);
+  const auto parts = runner::split_indices(universe, 2);
   auto shards = run_shards_inprocess(kManifest, parts);
-  // A speculative backup delivered shard 1's jobs a second time.
+  // A faulty child delivered shard 1's jobs a second time, with a
+  // damaged copy: the first copy of each job wins.
   shards.push_back(shards[1]);
-  int dups = -1;
-  const runner::BatchResult merged =
-      runner::merge_job_results(shards, universe, &dups);
-  EXPECT_EQ(dups, int(parts[1].size()));
+  for (runner::JobResult& j : shards.back()) j.total_cycles += 1;
+  const runner::BatchResult merged = runner::merge_job_results(shards, universe);
   EXPECT_EQ(canonical_report(merged, "d"), canonical_report(single, "d"));
 }
 
 TEST(ShardMerge, MissingJobFails) {
-  const auto parts = runner::split_indices(iota_universe(6), 3,
-                                           runner::ShardStrategy::block);
+  const auto parts = runner::split_indices(iota_universe(6), 3);
   auto shards = run_shards_inprocess(kManifest, parts);
   shards.pop_back();  // lose shard 2's jobs entirely
-  EXPECT_THROW(runner::merge_job_results(shards, iota_universe(6), nullptr),
-               Error);
+  EXPECT_THROW(runner::merge_job_results(shards, iota_universe(6)), Error);
 }
 
 TEST(ShardMerge, ReportJobsRoundTripExactly) {
@@ -275,6 +248,67 @@ TEST(ShardMerge, ReportJobsRoundTripExactly) {
   EXPECT_THROW(runner::parse_report_jobs("{\"schema\":\"bogus\",\"jobs\":[]}"),
                Error);
   EXPECT_THROW(runner::parse_report_jobs("not json"), Error);
+
+  // Out-of-range integers are rejected, not narrowed: 4294967297 would
+  // wrap to job 1.
+  const std::string report = canonical_report(single, "rt");
+  const auto with = [&report](const std::string& from, const std::string& to) {
+    const std::size_t at = report.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return std::string(report).replace(at, from.size(), to);
+  };
+  const std::string threads =
+      "\"num_threads\":" + std::to_string(single.jobs[1].num_threads) + "}";
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"\"index\":1,",
+                                            "\"index\":4294967297,"},
+        {"\"index\":1,", "\"index\":-1,"},
+        {threads, "\"num_threads\":65}"},
+        {threads, "\"num_threads\":-1}"}}) {
+    const std::string field = from.substr(1, from.find('"', 1) - 1);
+    try {
+      runner::parse_report_jobs(with(from, to));
+      ADD_FAILURE() << "accepted " << to;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ShardReportFuzz, TruncationsAndByteMutationsThrowOrParse) {
+  // The report arrives from a child process, so it is untrusted: every
+  // damaged form must fail with hlsprof::Error or parse, never crash.
+  runner::JobResult j;
+  j.index = 3;
+  j.name = "vecadd.n=48";
+  j.status = runner::JobStatus::ok;
+  j.seed = 0x9e3779b97f4a7c15ull;
+  j.design_key = 0xfedcba9876543210ull;
+  j.num_threads = 2;
+  j.total_cycles = 12345;
+  j.gflops = 0.25;
+  j.has_trace = true;
+  runner::BatchResult result;
+  result.jobs = {j};
+  const std::string report = canonical_report(result, "fuzz");
+  ASSERT_EQ(runner::parse_report_jobs(report).size(), 1u);
+  const auto try_parse = [](const std::string& text) {
+    try {
+      runner::parse_report_jobs(text);
+    } catch (const Error&) {
+    }
+  };
+  for (std::size_t n = 0; n < report.size(); ++n) {
+    try_parse(report.substr(0, n));
+  }
+  for (std::size_t pos = 0; pos < report.size(); ++pos) {
+    for (int byte = 0; byte < 256; ++byte) {
+      std::string mutated = report;
+      mutated[pos] = char(byte);
+      try_parse(mutated);
+    }
+  }
 }
 
 // ---- end to end with real child processes ----------------------------------
@@ -285,10 +319,6 @@ runner::ShardOptions e2e_options(int shards) {
   o.runner_binary = HLSPROF_RUN_BIN;
   o.workers_per_shard = 1;
   o.quiet = true;
-  // No straggler speculation: under a loaded test machine a shard can
-  // exceed the wall-clock threshold and launch a backup, which keeps
-  // the output byte-identical but makes launch counts nondeterministic.
-  o.straggler_factor = 0.0;
   return o;
 }
 
@@ -353,9 +383,38 @@ TEST(ShardE2E, ReaderForwardsOneEventPerJobAndIgnoresChatter) {
   EXPECT_EQ(indices.size(), sharded.merged.jobs.size());
 }
 
+TEST(ShardE2E, ShardThatDiesAfterAnnouncingIsRedispatched) {
+  // The first shard child runs to completion — printing a job event for
+  // every one of its jobs — and then exits 9, so its report is discarded
+  // and its jobs are announced again by the replacement shard.
+  const std::string dir = fresh_dir("announce-then-die");
+  const std::string wrapper = dir + "/die-once.sh";
+  {
+    std::ofstream f(wrapper);
+    f << "#!/bin/sh\n"
+         "if mkdir '" << dir << "/marker' 2>/dev/null; then\n"
+         "  '" HLSPROF_RUN_BIN "' \"$@\"\n"
+         "  exit 9\n"
+         "fi\n"
+         "exec '" HLSPROF_RUN_BIN "' \"$@\"\n";
+  }
+  fs::permissions(wrapper, fs::perms::owner_all);
+  runner::ShardOptions o = e2e_options(3);
+  o.runner_binary = wrapper;
+  std::map<int, int> seen;
+  o.on_job_event = [&seen](int, const std::string&, const runner::JobEvent& e) {
+    ++seen[e.index];
+  };
+  const runner::ShardResult sharded = runner::run_sharded_text(kManifest, o);
+  EXPECT_GE(sharded.shards_redispatched, 1);
+  ASSERT_EQ(seen.size(), sharded.merged.jobs.size());
+  for (const auto& [index, count] : seen) EXPECT_EQ(count, 1) << index;
+  EXPECT_EQ(canonical_report(sharded.merged, sharded.label),
+            canonical_report(run_whole(kManifest), sharded.label));
+}
+
 TEST(ShardE2E, RedispatchBudgetExhaustionFails) {
   runner::ShardOptions o = e2e_options(2);
-  o.max_redispatch = 2;
   o.on_spawn = [](int, int pid) { ::kill(pid_t(pid), SIGKILL); };
   EXPECT_THROW(runner::run_sharded_text(kManifest, o), Error);
 }

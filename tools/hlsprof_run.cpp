@@ -5,8 +5,7 @@
 //                              [--approx-trace]
 //                              [--canonical] [--json] [--quiet] [--progress]
 //                              [--live[=state|metrics]] [--no-color]
-//                              [--shards=N] [--shard-strategy=S]
-//                              [--straggler-factor=F] [--connect=SOCKETS]
+//                              [--shards=N] [--shard-telemetry-prefix=P]
 //                              [--telemetry-out=FILE] [--chrome-trace=FILE]
 //                              [--version] [--help]
 //
@@ -14,12 +13,13 @@
 //                        core; negative is a usage error)
 //   --out=PREFIX         write PREFIX.json + PREFIX.csv (overrides manifest
 //                        `out`)
-//   --seed=S             override the manifest's batch seed
+//   --seed=S             override the manifest's batch seed (>= 0)
 //   --cache-dir=DIR      persist compiled designs in DIR (created if
 //                        missing) so repeated runs skip recompilation;
 //                        default off. See docs/CACHING.md.
 //   --cache-max-bytes=N  LRU size cap for --cache-dir (evicted when the
-//                        cache is opened); 0 = unbounded
+//                        cache is opened); 0 = unbounded, negative is a
+//                        usage error
 //   --approx-trace       approximate fast-forward mode (like manifest key
 //                        `approx_trace = on`): steady-state memory-bound
 //                        loop phases are jumped analytically, functional
@@ -42,18 +42,15 @@
 //                        with it on or off. See docs/LIVE.md.
 //   --no-color           disable ANSI colors in the live display
 //                        (NO_COLOR in the environment does the same)
-//   --shards=N           split the manifest's jobs across N hlsprof-run
-//                        child processes and merge their reports; the
-//                        merged canonical output is byte-identical to a
-//                        single-process run. Implies --canonical. See
-//                        docs/SHARDING.md.
-//   --shard-strategy=S   block | round_robin (default round_robin)
-//   --straggler-factor=F re-dispatch a shard's outstanding jobs when its
-//                        runtime exceeds F x the median finished-shard
-//                        time (default 3; 0 disables speculation)
-//   --connect=SOCKETS    comma-separated hlsprof-serve sockets: submit
-//                        shards to running daemons (round-robin) instead
-//                        of spawning child processes; implies shard mode
+//   --shards=N           split the manifest's jobs round-robin across N
+//                        hlsprof-run child processes and merge their
+//                        reports; the merged canonical output is
+//                        byte-identical to a single-process run. Implies
+//                        --canonical. 1 = no sharding; N < 1 is a usage
+//                        error. See docs/SHARDING.md.
+//   --shard-telemetry-prefix=P
+//                        each shard child writes its telemetry snapshot to
+//                        P<shard-id>.json
 //   --telemetry-out=FILE enable host telemetry; write the metrics snapshot
 //                        JSON (schema "hlsprof-telemetry") to FILE
 //   --chrome-trace=FILE  enable host telemetry; write a Chrome trace-event
@@ -65,9 +62,7 @@
 // written next to the report.
 //
 // Exit status: 0 if every job finished ok, 1 if any job failed or timed
-// out, 2 on usage/manifest errors (including unknown or malformed flags),
-// 4 when --connect cannot reach a daemon at all (missing socket file or
-// connection refused — the message names the socket path).
+// out, 2 on usage/manifest errors (including unknown or malformed flags).
 #include <unistd.h>
 
 #include <cstdio>
@@ -79,12 +74,10 @@
 
 #include "common/argparse.hpp"
 #include "common/build_info.hpp"
-#include "common/strings.hpp"
 #include "live/reporter.hpp"
 #include "paraver/ascii.hpp"
 #include "runner/runner.hpp"
 #include "runner/shard.hpp"
-#include "serve/client.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -105,14 +98,12 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string telemetry_out;
   std::string chrome_trace;
-  std::string shard_strategy = "round_robin";
-  std::string straggler_factor_text;
-  std::string connect_text;
   std::string shard_telemetry_prefix;
-  // LLONG_MIN = not given; an explicit negative count is rejected.
-  long long workers_override = std::numeric_limits<long long>::min();
-  long long seed_override = -1;
-  long long cache_max_bytes = -1;
+  // LLONG_MIN = not given; an explicit negative value is rejected.
+  constexpr long long kUnset = std::numeric_limits<long long>::min();
+  long long workers_override = kUnset;
+  long long seed_override = kUnset;
+  long long cache_max_bytes = kUnset;
   long long shards = 1;
   std::string live_value = "state";
   bool approx_trace = false;
@@ -154,14 +145,6 @@ int main(int argc, char** argv) {
       .option_int("shards", &shards,
                   "split jobs across N child processes and merge the "
                   "reports (implies --canonical)")
-      .option("shard-strategy", &shard_strategy,
-              "block | round_robin (default round_robin)")
-      .option("straggler-factor", &straggler_factor_text,
-              "re-dispatch a shard past F x the median shard time "
-              "(default 3, 0 = off)")
-      .option("connect", &connect_text,
-              "comma-separated hlsprof-serve sockets to submit shards to "
-              "(daemon mode)")
       .option("shard-telemetry-prefix", &shard_telemetry_prefix,
               "each shard child writes its telemetry snapshot to "
               "VALUE<shard-id>.json")
@@ -189,9 +172,17 @@ int main(int argc, char** argv) {
     return usage(parser, stderr);
   }
   const std::string manifest_path = parser.positionals().front();
-  if (workers_override < 0 &&
-      workers_override != std::numeric_limits<long long>::min()) {
-    std::fprintf(stderr, "hlsprof-run: --workers must be >= 0\n");
+  for (const auto& [flag, value] :
+       {std::pair{"--workers", workers_override},
+        std::pair{"--seed", seed_override},
+        std::pair{"--cache-max-bytes", cache_max_bytes}}) {
+    if (value < 0 && value != kUnset) {
+      std::fprintf(stderr, "hlsprof-run: %s must be >= 0\n", flag);
+      return usage(parser, stderr);
+    }
+  }
+  if (shards < 1) {
+    std::fprintf(stderr, "hlsprof-run: --shards must be >= 1\n");
     return usage(parser, stderr);
   }
 
@@ -211,30 +202,15 @@ int main(int argc, char** argv) {
   const bool telemetry_on = !telemetry_out.empty() || !chrome_trace.empty();
   if (telemetry_on) telemetry_reg.enable(true);
 
-  const bool shard_mode = shards > 1 || !connect_text.empty();
+  const bool shard_mode = shards > 1;
 
   runner::BatchResult result;
   runner::ReportOptions ropts;
   std::string out_prefix;
-  bool coordinator_wrote_chrome = false;
 
   if (shard_mode) {
     runner::ShardOptions sopts;
-    sopts.shards = int(shards < 1 ? 1 : shards);
-    try {
-      sopts.strategy = runner::shard_strategy_from_name(shard_strategy);
-      if (!straggler_factor_text.empty()) {
-        std::size_t used = 0;
-        sopts.straggler_factor = std::stod(straggler_factor_text, &used);
-        if (used != straggler_factor_text.size() ||
-            sopts.straggler_factor < 0) {
-          throw Error("--straggler-factor must be a non-negative number");
-        }
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return usage(parser, stderr);
-    }
+    sopts.shards = int(shards);
     sopts.cache_dir = cache_dir;
     if (cache_max_bytes > 0) {
       sopts.cache_max_bytes = std::uint64_t(cache_max_bytes);
@@ -244,51 +220,20 @@ int main(int argc, char** argv) {
     sopts.approx_trace = approx_trace;
     sopts.quiet = quiet;
     sopts.child_telemetry_prefix = shard_telemetry_prefix;
-    if (!connect_text.empty()) {
-      for (const std::string& s : split(connect_text, ',')) {
-        const std::string sock = trim(s);
-        if (!sock.empty()) sopts.connect.push_back(sock);
-      }
-      // Pre-flight: an unreachable daemon is an environment error with
-      // its own exit code (4), not something to burn the re-dispatch
-      // budget on mid-run.
-      try {
-        for (const std::string& sock : sopts.connect) {
-          serve::Client probe(sock);
-        }
-      } catch (const serve::ConnectError& e) {
-        std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-        return 4;
-      }
-      sopts.submit = [](const std::string& socket,
-                        const std::string& manifest_text,
-                        const std::string& client_name) {
-        serve::Client client(socket);
-        const serve::Response r = client.submit(manifest_text, client_name);
-        if (!r.ok) {
-          fail("daemon at " + socket + " rejected the shard (" + r.error +
-               "): " + r.message);
-        }
-        return r.report;
-      };
-    }
     if (!canonical && !quiet) {
       std::fprintf(stderr,
                    "hlsprof-run: note: --shards implies --canonical (merged "
                    "reports are deterministic by construction)\n");
     }
 
-    // Process-mode fleets get ONE merged Perfetto file (coordinator +
-    // every shard child, tracks namespaced per shard); daemon telemetry
-    // belongs to the daemon, so daemon mode keeps the classic
-    // coordinator-only trace written below.
-    const bool merged_chrome = !chrome_trace.empty() && sopts.connect.empty();
-    if (merged_chrome) sopts.chrome_trace_out = chrome_trace;
+    // ONE merged Perfetto file: coordinator + every shard child, tracks
+    // namespaced per shard.
+    sopts.chrome_trace_out = chrome_trace;
 
     // Children print job events on their progress pipes: forward them
     // under --progress, fold them into the fleet view under --live.
     std::unique_ptr<live::FleetView> fleet;
-    if (live_display && sopts.connect.empty()) {
+    if (live_display) {
       std::size_t jobs_total = 0;
       try {
         const runner::ManifestRun run = runner::load_manifest(manifest_path);
@@ -300,9 +245,8 @@ int main(int argc, char** argv) {
       }
       fleet = std::make_unique<live::FleetView>(
           jobs_total, live::FleetOptions{.display = stderr, .in_place = true});
-      // The in-place fleet frame replaces per-job chatter; dropping the
-      // progress batches keeps the frame intact.
-      sopts.emit_progress = [](const std::string&) {};
+      // A stray re-dispatch note would tear the in-place fleet frame.
+      sopts.quiet = true;
     }
     if (progress || fleet) {
       live::FleetView* fleet_ptr = fleet.get();
@@ -320,21 +264,14 @@ int main(int argc, char** argv) {
     runner::ShardResult sharded;
     try {
       sharded = runner::run_sharded(manifest_path, sopts);
-    } catch (const serve::ConnectError& e) {
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return 4;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
       return 2;
     }
     if (fleet) fleet->finish();
-    coordinator_wrote_chrome = merged_chrome;
     if (!quiet) {
-      std::fprintf(stderr,
-                   "hlsprof-run: %d shards (%d re-dispatched, %d duplicate "
-                   "jobs dropped)\n",
-                   sharded.shards_launched, sharded.shards_redispatched,
-                   sharded.duplicate_jobs);
+      std::fprintf(stderr, "hlsprof-run: %d shards (%d re-dispatched)\n",
+                   sharded.shards_launched, sharded.shards_redispatched);
     }
     result = std::move(sharded.merged);
     ropts.canonical = true;
@@ -441,7 +378,7 @@ int main(int argc, char** argv) {
                       telemetry_out.c_str());
       }
       if (!chrome_trace.empty()) {
-        if (coordinator_wrote_chrome) {
+        if (shard_mode) {
           // The shard coordinator already merged every child trace plus
           // its own into the one fleet file at this path.
           if (!quiet)
