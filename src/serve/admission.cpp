@@ -1,5 +1,7 @@
 #include "serve/admission.hpp"
 
+#include <string>
+
 #include "telemetry/telemetry.hpp"
 
 namespace hlsprof::serve {
@@ -8,22 +10,14 @@ const char* reject_name(Reject r) {
   switch (r) {
     case Reject::none: return "none";
     case Reject::queue_full: return "queue_full";
-    case Reject::client_quota: return "client_quota";
     case Reject::draining: return "draining";
   }
   return "?";
 }
 
-AdmissionQueue::AdmissionQueue(AdmissionOptions options)
-    : options_(options) {}
+AdmissionQueue::AdmissionQueue(std::size_t capacity) : capacity_(capacity) {}
 
-std::size_t AdmissionQueue::client_load_locked(
-    const std::string& client) const {
-  auto it = inflight_.find(client);
-  return it == inflight_.end() ? 0 : std::size_t(it->second);
-}
-
-Reject AdmissionQueue::submit(Request request, std::uint64_t* id_out) {
+Reject AdmissionQueue::submit(Request request) {
   auto& reg = telemetry::Registry::global();
   Reject verdict = Reject::none;
   {
@@ -32,28 +26,13 @@ Reject AdmissionQueue::submit(Request request, std::uint64_t* id_out) {
     if (draining_) {
       verdict = Reject::draining;
       ++stats_.rejected_draining;
-    } else if (options_.per_client_inflight > 0 &&
-               client_load_locked(request.client) >=
-                   std::size_t(options_.per_client_inflight)) {
-      verdict = Reject::client_quota;
-      ++stats_.rejected_quota;
-    } else if (queued_ >= options_.queue_capacity) {
+    } else if (queue_.size() >= capacity_) {
       verdict = Reject::queue_full;
       ++stats_.rejected_full;
     } else {
-      request.id = next_id_++;
-      if (id_out != nullptr) *id_out = request.id;
       ++stats_.admitted;
-      ++inflight_[request.client];
-      ++queued_;
-      Level& level = levels_[request.priority];
-      auto [it, fresh] =
-          level.per_client.try_emplace(request.client);
-      if (it->second.empty()) level.rotation.push_back(request.client);
-      (void)fresh;
-      it->second.push_back(std::move(request));
-      ++level.size;
-      stats_.queued = queued_;
+      queue_.push_back(std::move(request));
+      stats_.queued = queue_.size();
     }
   }
   if (verdict == Reject::none) {
@@ -67,34 +46,13 @@ Reject AdmissionQueue::submit(Request request, std::uint64_t* id_out) {
 
 bool AdmissionQueue::pop(Request* out) {
   std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [this] { return queued_ > 0 || draining_; });
-  if (queued_ == 0) return false;  // draining and empty
-  // Highest non-empty priority level; round-robin across its clients.
-  auto lit = levels_.begin();
-  while (lit->second.size == 0) ++lit;
-  Level& level = lit->second;
-  const std::string client = level.rotation.front();
-  level.rotation.pop_front();
-  auto& q = level.per_client.at(client);
-  *out = std::move(q.front());
-  q.pop_front();
-  if (!q.empty()) {
-    level.rotation.push_back(client);
-  } else {
-    level.per_client.erase(client);  // client names must not accumulate
-  }
-  --level.size;
-  --queued_;
+  cv_.wait(lock, [this] { return !queue_.empty() || draining_; });
+  if (queue_.empty()) return false;  // draining and empty
+  *out = std::move(queue_.front());
+  queue_.pop_front();
   ++stats_.started;
-  stats_.queued = queued_;
+  stats_.queued = queue_.size();
   return true;
-}
-
-void AdmissionQueue::finish(const std::string& client) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = inflight_.find(client);
-  if (it != inflight_.end() && --it->second <= 0) inflight_.erase(it);
-  ++stats_.finished;
 }
 
 void AdmissionQueue::drain() {

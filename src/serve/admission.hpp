@@ -1,18 +1,10 @@
-// Admission control for the serving daemon: a bounded, multi-client
-// request queue in front of the resident worker pool. Policy:
+// Admission control for the serving daemon: a bounded FIFO in front of
+// the resident worker pool.
 //
-//  - Bounded: at most `queue_capacity` requests may be waiting; one more
-//    is rejected with Reject::queue_full (explicit backpressure — the
-//    client is told, nothing is silently dropped).
-//  - Per-client quota: a client may have at most `per_client_inflight`
-//    admitted-but-unfinished requests (queued + running). The quota
-//    rejects deterministically, so one chatty client cannot monopolize
-//    the queue.
-//  - Priorities: higher `priority` pops first.
-//  - Fairness: within a priority level, clients are served round-robin —
-//    each pop takes the next client in rotation with pending work, FIFO
-//    within a client — so a burst from one client cannot starve another
-//    at the same priority.
+//  - Bounded: at most `capacity` requests may be waiting; one more is
+//    rejected with Reject::queue_full (explicit backpressure — the client
+//    is told, nothing is silently dropped).
+//  - FIFO: requests pop in submission order.
 //  - Draining: drain() atomically stops admission (further submits get
 //    Reject::draining); consumers keep popping until the queue is empty,
 //    then pop() returns false. Nothing admitted is ever lost.
@@ -26,27 +18,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <string>
 
 namespace hlsprof::serve {
 
-struct AdmissionOptions {
-  /// Max requests waiting (admitted, not yet started). 0 = nothing may
-  /// queue: a request is admitted only if a dispatcher picks it up before
-  /// anything else is waiting — practically, almost everything rejects.
-  std::size_t queue_capacity = 64;
-  /// Max admitted-but-unfinished (queued + running) requests per client;
-  /// 0 = unlimited.
-  int per_client_inflight = 0;
-};
-
 enum class Reject {
-  none = 0,      // admitted
-  queue_full,    // queue_capacity waiting already
-  client_quota,  // this client's in-flight quota is exhausted
-  draining,      // drain() was called; no new admissions
+  none = 0,    // admitted
+  queue_full,  // `capacity` requests waiting already
+  draining,    // drain() was called; no new admissions
 };
 
 /// Machine-readable rejection code ("queue_full", ...); "none" = admitted.
@@ -54,38 +33,32 @@ const char* reject_name(Reject r);
 
 class AdmissionQueue {
  public:
-  struct Request {
-    std::uint64_t id = 0;       // assigned by submit(), echoed for tracing
-    std::string client;         // quota / fairness bucket
-    int priority = 0;           // higher pops first
-    std::function<void()> work; // opaque payload
-  };
+  /// The opaque payload a dispatcher runs.
+  using Request = std::function<void()>;
 
   struct Stats {
     std::uint64_t submitted = 0;  // all submit() calls
     std::uint64_t admitted = 0;
     std::uint64_t rejected_full = 0;
-    std::uint64_t rejected_quota = 0;
     std::uint64_t rejected_draining = 0;
     std::uint64_t started = 0;   // popped by a consumer
-    std::uint64_t finished = 0;  // finish() calls
     std::size_t queued = 0;      // waiting right now
   };
 
-  explicit AdmissionQueue(AdmissionOptions options);
+  /// `capacity` = max requests waiting (admitted, not yet started). 0 =
+  /// nothing may queue: a request is admitted only if a dispatcher picks
+  /// it up before anything else is waiting — practically, almost
+  /// everything rejects.
+  explicit AdmissionQueue(std::size_t capacity);
 
-  /// Try to admit. Returns Reject::none and assigns `request.id` (via
-  /// `id_out` when non-null) on success; otherwise the rejection reason.
-  Reject submit(Request request, std::uint64_t* id_out = nullptr);
+  /// Try to admit. Returns Reject::none on success, otherwise the
+  /// rejection reason.
+  Reject submit(Request request);
 
-  /// Pop the next request per policy; blocks while the queue is empty and
-  /// not draining. Returns false when draining and empty (consumer should
-  /// exit). The popped request counts against its client's quota until
-  /// finish(client) is called.
+  /// Pop the oldest request; blocks while the queue is empty and not
+  /// draining. Returns false when draining and empty (consumer should
+  /// exit).
   bool pop(Request* out);
-
-  /// Mark one of `client`'s started requests complete (releases quota).
-  void finish(const std::string& client);
 
   /// Stop admitting; wake blocked consumers so they can drain the
   /// remainder and exit. Idempotent.
@@ -95,24 +68,10 @@ class AdmissionQueue {
   Stats stats() const;
 
  private:
-  struct Level {
-    /// Clients with pending work, in rotation order; each appears once.
-    std::deque<std::string> rotation;
-    std::map<std::string, std::deque<Request>> per_client;
-    std::size_t size = 0;
-  };
-
-  std::size_t client_load_locked(const std::string& client) const;
-
-  AdmissionOptions options_;
+  const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// priority -> level, highest first.
-  std::map<int, Level, std::greater<int>> levels_;
-  /// Queued-or-running count per client (quota accounting).
-  std::map<std::string, int> inflight_;
-  std::size_t queued_ = 0;
-  std::uint64_t next_id_ = 1;
+  std::deque<Request> queue_;
   bool draining_ = false;
   Stats stats_;
 };

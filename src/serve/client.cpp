@@ -12,12 +12,7 @@
 namespace hlsprof::serve {
 
 Client::Client(const std::string& socket_path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof addr.sun_path) {
-    fail("serve client: socket path too long: " + socket_path);
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  const sockaddr_un addr = socket_address(socket_path);
   fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd_ < 0) fail("serve client: socket: " + std::string(strerror(errno)));
   if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
@@ -43,24 +38,17 @@ Client::~Client() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Client::Client(Client&& other) noexcept
-    : fd_(other.fd_), acc_(std::move(other.acc_)) {
-  other.fd_ = -1;
+void Client::send(const Request& request) {
+  if (!send_line(fd_, request_line(request))) {
+    fail("serve client: send: " + std::string(strerror(errno)));
+  }
 }
 
-Response Client::call(const Request& request) {
-  std::string line = request_line(request);
-  line += '\n';
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n =
-        ::send(fd_, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      fail("serve client: send: " + std::string(strerror(errno)));
-    }
-    off += std::size_t(n);
-  }
+Response Client::call(Request::Op op, std::uint64_t id) {
+  Request r;
+  r.op = op;
+  r.id = id;
+  send(r);
   return parse_response(read_line());
 }
 
@@ -83,68 +71,33 @@ std::string Client::read_line() {
 }
 
 Response Client::submit(const std::string& manifest_text,
-                        const std::string& client, int priority,
-                        std::uint64_t id) {
+                        const EventFn& on_event, std::uint64_t id) {
   Request r;
   r.op = Request::Op::submit;
   r.id = id;
-  r.client = client;
-  r.priority = priority;
   r.manifest = manifest_text;
-  return call(r);
-}
-
-Response Client::submit_watch(
-    const std::string& manifest_text,
-    const std::function<void(const std::string&, const runner::JobEvent&)>&
-        on_event,
-    const std::string& client, int priority, std::uint64_t id) {
-  Request r;
-  r.op = Request::Op::submit;
-  r.id = id;
-  r.client = client;
-  r.priority = priority;
-  r.manifest = manifest_text;
-  r.watch = true;
-  std::string line = request_line(r);
-  line += '\n';
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n =
-        ::send(fd_, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      fail("serve client: send: " + std::string(strerror(errno)));
-    }
-    off += std::size_t(n);
-  }
+  r.watch = bool(on_event);
+  send(r);
   for (;;) {
     const std::string reply = read_line();
     runner::JobEvent event;
-    if (!runner::parse_job_event(reply, &event)) return parse_response(reply);
-    if (on_event) on_event(reply, event);
+    if (!r.watch || !runner::parse_job_event(reply, &event)) {
+      return parse_response(reply);
+    }
+    on_event(reply, event);
   }
 }
 
 Response Client::metrics(std::uint64_t id) {
-  Request r;
-  r.op = Request::Op::metrics;
-  r.id = id;
-  return call(r);
+  return call(Request::Op::metrics, id);
 }
 
 Response Client::ping(std::uint64_t id) {
-  Request r;
-  r.op = Request::Op::ping;
-  r.id = id;
-  return call(r);
+  return call(Request::Op::ping, id);
 }
 
 Response Client::shutdown(std::uint64_t id) {
-  Request r;
-  r.op = Request::Op::shutdown;
-  r.id = id;
-  return call(r);
+  return call(Request::Op::shutdown, id);
 }
 
 }  // namespace hlsprof::serve

@@ -46,32 +46,27 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&&) = delete;
 
-  /// Round-trip one request. Blocks until the daemon responds (a submit
-  /// response arrives when the batch finishes). Throws hlsprof::Error on
-  /// a dropped connection or malformed response.
-  Response call(const Request& request);
+  /// Called once per streamed job event, in arrival order on the calling
+  /// thread, with the raw line and its parse.
+  using EventFn = std::function<void(const std::string& line,
+                                     const runner::JobEvent& event)>;
 
-  /// Convenience wrappers; `id` is echoed back by the daemon.
-  Response submit(const std::string& manifest_text, const std::string& client,
-                  int priority = 0, std::uint64_t id = 0);
-  /// Watch submit: streams one job event per finished job. `on_event`
-  /// runs once per event, in arrival order on the calling thread, with
-  /// the raw line and its parse; the returned Response is the final one.
-  /// Blocks like submit().
-  Response submit_watch(const std::string& manifest_text,
-                        const std::function<void(const std::string& line,
-                                                 const runner::JobEvent&)>&
-                            on_event,
-                        const std::string& client, int priority = 0,
-                        std::uint64_t id = 0);
+  /// Submit a manifest; blocks until the batch finishes. A set `on_event`
+  /// makes it a watch submit: the daemon streams one job event per
+  /// finished job, each handed to `on_event`, before the final response
+  /// this returns. `id` is echoed back by the daemon.
+  Response submit(const std::string& manifest_text,
+                  const EventFn& on_event = {}, std::uint64_t id = 0);
   Response metrics(std::uint64_t id = 0);
   Response ping(std::uint64_t id = 0);
   Response shutdown(std::uint64_t id = 0);
 
  private:
+  /// Round-trip one inline request (metrics/ping/shutdown). Throws
+  /// hlsprof::Error on a dropped connection or malformed response.
+  Response call(Request::Op op, std::uint64_t id);
+  void send(const Request& request);
   std::string read_line();
 
   int fd_ = -1;

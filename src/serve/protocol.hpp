@@ -5,8 +5,7 @@
 // escaped JSON strings, so arbitrary bytes round-trip exactly).
 //
 // Requests (client -> daemon):
-//   {"op":"submit","id":7,"client":"ci-1","priority":0,
-//    "manifest":"workload = pi\n..."}
+//   {"op":"submit","id":7,"manifest":"workload = pi\n..."}
 //   {"op":"submit","id":7,"watch":true,...}   -- stream job events
 //   {"op":"metrics","id":8}
 //   {"op":"ping","id":9}
@@ -31,14 +30,19 @@
 //   ping:       {"id":9,"ok":true,"pong":true,"build":"<stamp>"}
 //   shutdown:   {"id":10,"ok":true,"draining":true}
 //
+// Unknown request fields are ignored, so request lines from older clients
+// that send retired fields are still served.
+//
 // Error codes ("error" field): bad_request, manifest_error, queue_full,
-// client_quota, draining, internal.
+// draining, internal.
 //
 // A client that keeps one request in flight per connection reads
 // responses in request order; a pipelining client must match on "id"
 // (submit responses are written when the job finishes, so they can
 // overtake each other and interleave with inline ping/metrics replies).
 #pragma once
+
+#include <sys/un.h>
 
 #include <cstdint>
 #include <string>
@@ -50,10 +54,6 @@ struct Request {
   Op op = Op::ping;
   /// Client-chosen correlation id, echoed verbatim in the response.
   std::uint64_t id = 0;
-  /// submit only: quota/fairness bucket (defaults to "anonymous").
-  std::string client = "anonymous";
-  /// submit only: higher runs first.
-  int priority = 0;
   /// submit only: manifest text (the same format hlsprof-run reads).
   std::string manifest;
   /// submit only: stream one job event per finished job before the
@@ -100,5 +100,16 @@ struct Response {
 
 /// Parse one response line. Throws hlsprof::Error on malformed JSON.
 Response parse_response(const std::string& line);
+
+// ---- transport, shared by server and client ----
+
+/// The Unix-domain address of `path`. Throws hlsprof::Error naming the
+/// path when it does not fit sockaddr_un.
+sockaddr_un socket_address(const std::string& path);
+
+/// Send `line` plus its terminating newline on the stream socket `fd`,
+/// retrying short writes and EINTR. Returns false, errno set, when the
+/// peer is gone.
+bool send_line(int fd, const std::string& line);
 
 }  // namespace hlsprof::serve

@@ -30,9 +30,10 @@ std::string errno_text() { return std::strerror(errno); }
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), admission_(options_.admission) {
+    : options_(std::move(options)), admission_(options_.queue_capacity) {
   HLSPROF_CHECK(!options_.socket_path.empty(),
                 "serve: socket_path is required");
+  HLSPROF_CHECK(options_.dispatchers >= 1, "serve: dispatchers must be >= 1");
   // The daemon is its own observability endpoint; counters must count.
   telemetry::Registry::global().enable(true);
 
@@ -41,23 +42,12 @@ Server::Server(ServerOptions options)
   }
   pool_ = std::make_unique<runner::Pool>(
       runner::Pool::resolve_workers(options_.workers));
-  if (options_.dispatchers < 1) options_.dispatchers = 1;
 
   if (::pipe(drain_pipe_) != 0) {
     fail("serve: pipe: " + errno_text());
   }
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof addr.sun_path) {
-    fail("serve: socket path too long (" +
-         std::to_string(options_.socket_path.size()) + " bytes, max " +
-         std::to_string(sizeof addr.sun_path - 1) + "): " +
-         options_.socket_path);
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-
+  const sockaddr_un addr = socket_address(options_.socket_path);
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd_ < 0) fail("serve: socket: " + errno_text());
   // Replace a stale socket file (e.g. after a crash). A *live* daemon on
@@ -103,7 +93,6 @@ void Server::serve() {
   accept_loop();
 
   // ---- drain: stop listening, finish admitted work, close clients ----
-  draining_.store(true, std::memory_order_relaxed);
   ::close(listen_fd_);
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
@@ -161,11 +150,9 @@ void Server::dispatcher_loop() {
   auto& reg = telemetry::Registry::global();
   AdmissionQueue::Request request;
   while (admission_.pop(&request)) {
-    const std::string client = request.client;
     reg.gauge("serve.queued", "requests")
         .set(double(admission_.stats().queued));
-    request.work();
-    admission_.finish(client);
+    request();
   }
 }
 
@@ -230,31 +217,16 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
 
   reg.counter("serve.submits").add(1);
   const std::uint64_t id = request.id;
-  AdmissionQueue::Request admitted;
-  admitted.client = request.client;
-  admitted.priority = request.priority;
-  admitted.work = [this, conn, request = std::move(request)]() mutable {
-    handle_submit(conn, std::move(request));
-  };
-  const Reject verdict = admission_.submit(std::move(admitted));
+  const Reject verdict = admission_.submit(
+      [this, conn, request = std::move(request)]() mutable {
+        handle_submit(conn, std::move(request));
+      });
   if (verdict != Reject::none) {
-    std::string detail;
-    switch (verdict) {
-      case Reject::queue_full:
-        detail = "queue capacity " +
-                 std::to_string(options_.admission.queue_capacity) +
-                 " reached; retry later";
-        break;
-      case Reject::client_quota:
-        detail = "client in-flight quota " +
-                 std::to_string(options_.admission.per_client_inflight) +
-                 " reached; wait for responses";
-        break;
-      case Reject::draining:
-        detail = "daemon is draining and admits no new work";
-        break;
-      case Reject::none: break;
-    }
+    const std::string detail =
+        verdict == Reject::queue_full
+            ? "queue capacity " + std::to_string(options_.queue_capacity) +
+                  " reached; retry later"
+            : "daemon is draining and admits no new work";
     write_line(conn, error_response(id, reject_name(verdict), detail));
   }
 }
@@ -326,23 +298,11 @@ void Server::write_line(const std::shared_ptr<Conn>& conn,
                         const std::string& line) {
   std::lock_guard<std::mutex> lock(conn->mu);
   if (conn->fd < 0) return;  // client already gone; response is moot
-  std::string framed = line;
-  framed += '\n';
-  std::size_t off = 0;
-  while (off < framed.size()) {
-    const ssize_t n = ::send(conn->fd, framed.data() + off,
-                             framed.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      // Peer is gone. Shut down (don't close): the reader thread may be
-      // blocked in read() on this fd — closing here could let the kernel
-      // recycle the descriptor under it. The shutdown wakes the reader,
-      // which performs the one close.
-      ::shutdown(conn->fd, SHUT_RDWR);
-      return;
-    }
-    off += std::size_t(n);
-  }
+  // A failed send means the peer is gone. Shut down (don't close): the
+  // reader thread may be blocked in read() on this fd — closing here could
+  // let the kernel recycle the descriptor under it. The shutdown wakes the
+  // reader, which performs the one close.
+  if (!send_line(conn->fd, line)) ::shutdown(conn->fd, SHUT_RDWR);
 }
 
 void Server::close_conn(const std::shared_ptr<Conn>& conn) {

@@ -8,7 +8,7 @@
 //     inline; hands submits to the admission queue (rejections are
 //     answered immediately with a structured error)
 //   AdmissionQueue
-//     bounded, prioritized, per-client-fair (see admission.hpp)
+//     bounded FIFO with drain (see admission.hpp)
 //   dispatcher threads (options.dispatchers of them)
 //     pop admitted requests, run the manifest's batch on the shared
 //     pool/cache, write the response line (canonical report bytes —
@@ -21,7 +21,6 @@
 // admitted is dropped; the socket file is removed on the way out.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -43,9 +42,10 @@ struct ServerOptions {
   /// Resident pool size; 0 = one worker per hardware thread.
   int workers = 0;
   /// Requests executed concurrently (each one's jobs still fan out over
-  /// the shared pool). Clamped to >= 1.
+  /// the shared pool). Must be >= 1.
   int dispatchers = 2;
-  AdmissionOptions admission;
+  /// Max requests waiting for a dispatcher (see AdmissionQueue).
+  std::size_t queue_capacity = 64;
   /// Non-empty: attach the persistent on-disk design store (shared with
   /// hlsprof-run and other daemons via atomic-rename writes).
   std::string cache_dir;
@@ -76,7 +76,6 @@ class Server {
   int drain_fd() const { return drain_pipe_[1]; }
 
   const std::string& socket_path() const { return options_.socket_path; }
-  runner::DesignCache& cache() { return cache_; }
   const AdmissionQueue& admission() const { return admission_; }
 
  private:
@@ -104,7 +103,6 @@ class Server {
   AdmissionQueue admission_;
   int listen_fd_ = -1;
   int drain_pipe_[2] = {-1, -1};
-  std::atomic<bool> draining_{false};
   std::vector<std::thread> dispatchers_;
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;

@@ -423,10 +423,24 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
 }
 
 TEST(RunnerCli, ServeNegativeWorkersIsAUsageError) {
-  // Rejected before any socket is opened.
-  EXPECT_EQ(exit_status(std::string(HLSPROF_SERVE_BIN) +
-                        " --socket=/tmp/hlsprof_never.sock --workers=-1"),
-            2);
+  // Rejected before any socket is opened. Out-of-range values and the
+  // retired admission flags are usage errors that name the flag.
+  const std::string serve = std::string(HLSPROF_SERVE_BIN) +
+                            " --socket=/tmp/hlsprof_never.sock --quiet ";
+  for (const std::string flag :
+       {"--workers=-1", "--cache-max-bytes=-5", "--queue-capacity=-1",
+        "--dispatchers=0", "--dispatchers=-3", "--client-quota=4",
+        "--priority=1"}) {
+    std::FILE* p = ::popen((serve + flag + " 2>&1").c_str(), "r");
+    ASSERT_NE(p, nullptr);
+    std::string out(4096, '\0');
+    out.resize(std::fread(out.data(), 1, out.size(), p));
+    const int raw = ::pclose(p);
+    EXPECT_EQ(WIFEXITED(raw) ? WEXITSTATUS(raw) : -1, 2) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(out.substr(0, out.find('\n')).find(name), std::string::npos)
+        << flag << ": " << out;
+  }
 }
 
 /// Returns the message a parse failure produces (fails the test if the

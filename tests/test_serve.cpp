@@ -1,7 +1,7 @@
 // Tests for the serving subsystem (src/serve): admission-queue policy
-// (priorities, per-client fairness and quotas, bounded-queue rejection,
-// drain semantics), wire-protocol round-trips (manifest and report bytes
-// travel exactly), and the daemon end-to-end over a real Unix socket —
+// (FIFO order, bounded-queue rejection, drain semantics), wire-protocol
+// round-trips (manifest and report bytes travel exactly) and mutation
+// fuzz, and the daemon end-to-end over a real Unix socket —
 // submits byte-identical to a direct `hlsprof-run` report, live metrics,
 // structured queue-full rejection, and graceful drain.
 #include <gtest/gtest.h>
@@ -35,68 +35,36 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using serve::AdmissionOptions;
 using serve::AdmissionQueue;
 using serve::Reject;
 
-AdmissionQueue::Request req(const std::string& client, int priority = 0) {
-  AdmissionQueue::Request r;
-  r.client = client;
-  r.priority = priority;
-  r.work = [] {};
-  return r;
-}
-
 // ---- admission policy ------------------------------------------------------
 
-TEST(ServeAdmission, HigherPriorityPopsFirst) {
-  AdmissionQueue q(AdmissionOptions{});
-  std::uint64_t low = 0, high = 0, mid = 0;
-  ASSERT_EQ(q.submit(req("a", 0), &low), Reject::none);
-  ASSERT_EQ(q.submit(req("a", 9), &high), Reject::none);
-  ASSERT_EQ(q.submit(req("a", 3), &mid), Reject::none);
+TEST(ServeAdmission, PopsInSubmissionOrder) {
+  AdmissionQueue q(64);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_EQ(q.submit([&order, i] { order.push_back(i); }), Reject::none);
+  }
 
-  AdmissionQueue::Request out;
-  ASSERT_TRUE(q.pop(&out));
-  EXPECT_EQ(out.id, high);
-  ASSERT_TRUE(q.pop(&out));
-  EXPECT_EQ(out.id, mid);
-  ASSERT_TRUE(q.pop(&out));
-  EXPECT_EQ(out.id, low);
-}
-
-TEST(ServeAdmission, RoundRobinAcrossClientsFifoWithin) {
-  AdmissionQueue q(AdmissionOptions{});
-  // a1 a2 a3 then b1 b2, all same priority: rotation alternates clients,
-  // FIFO within each, so a burst from `a` cannot starve `b`.
-  std::uint64_t a1, a2, a3, b1, b2;
-  ASSERT_EQ(q.submit(req("a"), &a1), Reject::none);
-  ASSERT_EQ(q.submit(req("a"), &a2), Reject::none);
-  ASSERT_EQ(q.submit(req("a"), &a3), Reject::none);
-  ASSERT_EQ(q.submit(req("b"), &b1), Reject::none);
-  ASSERT_EQ(q.submit(req("b"), &b2), Reject::none);
-
-  std::vector<std::uint64_t> order;
   AdmissionQueue::Request out;
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(q.pop(&out));
-    order.push_back(out.id);
+    out();
   }
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{a1, b1, a2, b2, a3}));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ServeAdmission, QueueFullRejectsExplicitly) {
-  AdmissionOptions options;
-  options.queue_capacity = 2;
-  AdmissionQueue q(options);
-  EXPECT_EQ(q.submit(req("a")), Reject::none);
-  EXPECT_EQ(q.submit(req("b")), Reject::none);
-  EXPECT_EQ(q.submit(req("c")), Reject::queue_full);
+  AdmissionQueue q(2);
+  EXPECT_EQ(q.submit([] {}), Reject::none);
+  EXPECT_EQ(q.submit([] {}), Reject::none);
+  EXPECT_EQ(q.submit([] {}), Reject::queue_full);
 
   // Popping frees a slot (capacity bounds *waiting* requests).
   AdmissionQueue::Request out;
   ASSERT_TRUE(q.pop(&out));
-  EXPECT_EQ(q.submit(req("c")), Reject::none);
+  EXPECT_EQ(q.submit([] {}), Reject::none);
 
   const auto s = q.stats();
   EXPECT_EQ(s.submitted, 4u);
@@ -104,33 +72,13 @@ TEST(ServeAdmission, QueueFullRejectsExplicitly) {
   EXPECT_EQ(s.rejected_full, 1u);
 }
 
-TEST(ServeAdmission, PerClientQuotaCountsQueuedPlusRunning) {
-  AdmissionOptions options;
-  options.per_client_inflight = 1;
-  AdmissionQueue q(options);
-  ASSERT_EQ(q.submit(req("a")), Reject::none);
-  EXPECT_EQ(q.submit(req("a")), Reject::client_quota);
-  // Another client is unaffected.
-  EXPECT_EQ(q.submit(req("b")), Reject::none);
-
-  // Popping does NOT release the quota (the request is now running)...
-  AdmissionQueue::Request out;
-  ASSERT_TRUE(q.pop(&out));
-  ASSERT_EQ(out.client, "a");
-  EXPECT_EQ(q.submit(req("a")), Reject::client_quota);
-  // ...finish() does.
-  q.finish("a");
-  EXPECT_EQ(q.submit(req("a")), Reject::none);
-  EXPECT_EQ(q.stats().rejected_quota, 2u);
-}
-
 TEST(ServeAdmission, DrainRejectsNewAndDrainsRemainder) {
-  AdmissionQueue q(AdmissionOptions{});
-  ASSERT_EQ(q.submit(req("a")), Reject::none);
-  ASSERT_EQ(q.submit(req("b")), Reject::none);
+  AdmissionQueue q(64);
+  ASSERT_EQ(q.submit([] {}), Reject::none);
+  ASSERT_EQ(q.submit([] {}), Reject::none);
   q.drain();
   EXPECT_TRUE(q.draining());
-  EXPECT_EQ(q.submit(req("c")), Reject::draining);
+  EXPECT_EQ(q.submit([] {}), Reject::draining);
 
   // Everything admitted before the drain is still served...
   AdmissionQueue::Request out;
@@ -146,7 +94,7 @@ TEST(ServeAdmission, DrainRejectsNewAndDrainsRemainder) {
 }
 
 TEST(ServeAdmission, DrainWakesBlockedConsumer) {
-  AdmissionQueue q(AdmissionOptions{});
+  AdmissionQueue q(64);
   std::atomic<int> result{-1};
   std::thread consumer([&] {
     AdmissionQueue::Request out;
@@ -163,8 +111,6 @@ TEST(ServeProtocol, SubmitRequestRoundTripsManifestBytes) {
   serve::Request r;
   r.op = serve::Request::Op::submit;
   r.id = 42;
-  r.client = "ci-\"3\"";
-  r.priority = -2;
   r.manifest = "workload = pi\nsteps = 100\n# \xc3\xa9\t\"quoted\"\n";
 
   const std::string line = serve::request_line(r);
@@ -173,9 +119,19 @@ TEST(ServeProtocol, SubmitRequestRoundTripsManifestBytes) {
   const serve::Request back = serve::parse_request(line);
   EXPECT_EQ(back.op, serve::Request::Op::submit);
   EXPECT_EQ(back.id, 42u);
-  EXPECT_EQ(back.client, r.client);
-  EXPECT_EQ(back.priority, -2);
+  EXPECT_FALSE(back.watch);
   EXPECT_EQ(back.manifest, r.manifest);
+
+  // Older clients also sent "client" and "priority"; such a line is
+  // still a valid submit and its manifest bytes arrive unchanged.
+  const serve::Request old = serve::parse_request(
+      R"({"op":"submit","id":42,"client":"ci-\"3\"","priority":-2,)"
+      R"("manifest":"workload = pi\nsteps = 100\n# )"
+      "\xc3\xa9"
+      R"(\t\"quoted\"\n"})");
+  EXPECT_EQ(old.op, serve::Request::Op::submit);
+  EXPECT_EQ(old.id, 42u);
+  EXPECT_EQ(old.manifest, r.manifest);
 }
 
 TEST(ServeProtocol, SubmitOkResponseRoundTripsReportBytes) {
@@ -226,6 +182,44 @@ TEST(ServeProtocol, MalformedRequestsThrow) {
       << "submit without a manifest";
   EXPECT_THROW(serve::parse_request("{\"op\":42}"), Error);
   EXPECT_THROW(serve::parse_request("[]"), Error);
+}
+
+TEST(ServeProtocolFuzz, TruncationsAndByteMutationsThrowOrParse) {
+  // Request and response lines cross a socket, so they are untrusted:
+  // every damaged form must fail with hlsprof::Error or parse, never
+  // crash.
+  serve::Request watch;
+  watch.op = serve::Request::Op::submit;
+  watch.id = 7;
+  watch.watch = true;
+  watch.manifest = "workload = pi\nsteps = 100\n";
+  const std::string request = serve::request_line(watch);
+  ASSERT_TRUE(serve::parse_request(request).watch);
+  const std::string response = serve::submit_ok_response(
+      7, "pi", 1, 1, "{\"schema\":\"hlsprof-batch-report\"}",
+      "{\"schema\":\"hlsprof-telemetry\"}");
+  ASSERT_TRUE(serve::parse_response(response).ok);
+
+  const auto fuzz = [](const std::string& line, const auto& parse) {
+    const auto try_parse = [&](const std::string& text) {
+      try {
+        parse(text);
+      } catch (const Error&) {
+      }
+    };
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      try_parse(line.substr(0, n));
+    }
+    for (std::size_t pos = 0; pos < line.size(); ++pos) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string mutated = line;
+        mutated[pos] = char(byte);
+        try_parse(mutated);
+      }
+    }
+  };
+  fuzz(request, [](const std::string& t) { serve::parse_request(t); });
+  fuzz(response, [](const std::string& t) { serve::parse_response(t); });
 }
 
 // ---- daemon end-to-end -----------------------------------------------------
@@ -326,7 +320,7 @@ TEST(ServeServer, LifecycleSubmitMetricsShutdown) {
     EXPECT_EQ(pong.id, 5u);
     EXPECT_NE(pong.build.find("hlsprof"), std::string::npos);
 
-    const serve::Response first = client.submit(kManifest, "t", 0, 1);
+    const serve::Response first = client.submit(kManifest, {}, 1);
     ASSERT_TRUE(first.ok) << first.error << ": " << first.message;
     EXPECT_EQ(first.label, "serve-e2e");
     EXPECT_EQ(first.jobs, 1);
@@ -337,7 +331,7 @@ TEST(ServeServer, LifecycleSubmitMetricsShutdown) {
 
     // Warm resubmit: same bytes again (the shared cache must not leak
     // into the canonical report).
-    const serve::Response warm = client.submit(kManifest, "t", 0, 2);
+    const serve::Response warm = client.submit(kManifest, {}, 2);
     ASSERT_TRUE(warm.ok);
     EXPECT_EQ(warm.report, want);
 
@@ -377,8 +371,7 @@ TEST(ServeServer, ConcurrentClientsGetByteIdenticalReports) {
   for (int i = 0; i < 3; ++i) {
     clients.emplace_back([&, i] {
       serve::Client client(options.socket_path);
-      const serve::Response r =
-          client.submit(kManifest, "client-" + std::to_string(i));
+      const serve::Response r = client.submit(kManifest);
       if (r.ok) got[std::size_t(i)] = r.report;
     });
   }
@@ -400,13 +393,13 @@ TEST(ServeServer, QueueFullIsAStructuredErrorNotADrop) {
   options.dispatchers = 1;
   // Nothing may wait: every submit is rejected before it reaches the
   // pool, deterministically, with the machine-readable reason.
-  options.admission.queue_capacity = 0;
+  options.queue_capacity = 0;
   serve::Server server(options);
   std::thread serving([&] { server.serve(); });
 
   {
     serve::Client client(options.socket_path);
-    const serve::Response r = client.submit(kManifest, "burst", 0, 11);
+    const serve::Response r = client.submit(kManifest, {}, 11);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.id, 11u);
     EXPECT_EQ(r.error, "queue_full");
@@ -431,7 +424,7 @@ TEST(ServeServer, BadManifestAnswersManifestError) {
   {
     serve::Client client(options.socket_path);
     const serve::Response r =
-        client.submit("workload = blastoff\n", "t", 0, 1);
+        client.submit("workload = blastoff\n", {}, 1);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error, "manifest_error");
     EXPECT_NE(r.message.find("blastoff"), std::string::npos);

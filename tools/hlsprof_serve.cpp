@@ -3,8 +3,8 @@
 //
 // Daemon (default):
 //   hlsprof-serve --socket=PATH [--workers=N] [--dispatchers=N]
-//                 [--queue-capacity=N] [--client-quota=N]
-//                 [--cache-dir=DIR] [--cache-max-bytes=N]
+//                 [--queue-capacity=N] [--cache-dir=DIR]
+//                 [--cache-max-bytes=N]
 //                 [--telemetry-out=FILE] [--quiet]
 //
 //   Listens on a Unix-domain socket, executes manifest submissions from
@@ -16,8 +16,8 @@
 //   and the process exits 0. See docs/SERVING.md.
 //
 // Client (any of --submit/--metrics/--ping/--shutdown selects it):
-//   hlsprof-serve --socket=PATH --submit=MANIFEST [--client=NAME]
-//                 [--priority=N] [--report-out=FILE] [--watch] [--quiet]
+//   hlsprof-serve --socket=PATH --submit=MANIFEST [--report-out=FILE]
+//                 [--watch] [--quiet]
 //   hlsprof-serve --socket=PATH --metrics [--json]
 //   hlsprof-serve --socket=PATH --ping
 //   hlsprof-serve --socket=PATH --shutdown
@@ -34,7 +34,7 @@
 //
 // Exit status: 0 ok; 1 job failures or a connection dropped mid-request;
 // 2 usage errors; 3 the daemon rejected the request (queue_full /
-// client_quota / draining — the structured error is printed to stderr);
+// draining — the structured error is printed to stderr);
 // 4 cannot connect to the daemon at all (missing socket file or nothing
 // listening on it — the message names the socket path), so scripts can
 // tell "no daemon" apart from "daemon said no".
@@ -46,6 +46,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "common/argparse.hpp"
 #include "common/build_info.hpp"
@@ -94,12 +95,11 @@ int run_daemon(serve::ServerOptions options, const std::string& telemetry_out,
   if (!quiet) {
     const auto s = server.admission().stats();
     std::fprintf(stderr,
-                 "hlsprof-serve: drained (admitted %llu, finished %llu, "
+                 "hlsprof-serve: drained (admitted %llu, started %llu, "
                  "rejected %llu)\n",
                  (unsigned long long)s.admitted,
-                 (unsigned long long)s.finished,
-                 (unsigned long long)(s.rejected_full + s.rejected_quota +
-                                      s.rejected_draining));
+                 (unsigned long long)s.started,
+                 (unsigned long long)(s.rejected_full + s.rejected_draining));
   }
   return 0;
 }
@@ -109,16 +109,13 @@ int run_daemon(serve::ServerOptions options, const std::string& telemetry_out,
 int main(int argc, char** argv) {
   std::string socket_path;
   std::string submit_path;
-  std::string client_name = "cli";
   std::string report_out;
   std::string cache_dir;
   std::string telemetry_out;
   long long workers = 0;
   long long dispatchers = 2;
   long long queue_capacity = 64;
-  long long client_quota = 0;
   long long cache_max_bytes = 0;
-  long long priority = 0;
   bool metrics = false;
   bool metrics_json = false;
   bool watch = false;
@@ -137,8 +134,6 @@ int main(int argc, char** argv) {
                   "requests executed concurrently (default 2)")
       .option_int("queue-capacity", &queue_capacity,
                   "max requests waiting for a dispatcher (default 64)")
-      .option_int("client-quota", &client_quota,
-                  "max in-flight requests per client (0 = unlimited)")
       .option("cache-dir", &cache_dir,
               "persistent design-cache directory (default off)")
       .option_int("cache-max-bytes", &cache_max_bytes,
@@ -147,10 +142,6 @@ int main(int argc, char** argv) {
               "write the final metrics snapshot here on drain")
       .option("submit", &submit_path,
               "client mode: submit this manifest file")
-      .option("client", &client_name,
-              "client mode: client name for quotas/fairness (default cli)")
-      .option_int("priority", &priority,
-                  "client mode: submission priority (higher runs first)")
       .option("report-out", &report_out,
               "client mode: write the returned report here instead of stdout")
       .flag("watch", &watch,
@@ -187,9 +178,15 @@ int main(int argc, char** argv) {
     return usage(parser, stderr);
   }
 
-  if (workers < 0) {
-    std::fprintf(stderr, "hlsprof-serve: --workers must be >= 0\n");
-    return usage(parser, stderr);
+  for (const auto& [flag, value, min] :
+       {std::tuple{"--workers", workers, 0LL},
+        std::tuple{"--dispatchers", dispatchers, 1LL},
+        std::tuple{"--queue-capacity", queue_capacity, 0LL},
+        std::tuple{"--cache-max-bytes", cache_max_bytes, 0LL}}) {
+    if (value < min) {
+      std::fprintf(stderr, "hlsprof-serve: %s must be >= %lld\n", flag, min);
+      return usage(parser, stderr);
+    }
   }
 
   const bool client_mode =
@@ -200,9 +197,7 @@ int main(int argc, char** argv) {
       options.socket_path = socket_path;
       options.workers = int(workers);
       options.dispatchers = int(dispatchers);
-      if (queue_capacity < 0) queue_capacity = 0;
-      options.admission.queue_capacity = std::size_t(queue_capacity);
-      options.admission.per_client_inflight = int(client_quota);
+      options.queue_capacity = std::size_t(queue_capacity);
       options.cache_dir = cache_dir;
       options.cache_max_bytes = std::uint64_t(cache_max_bytes);
       return run_daemon(std::move(options), telemetry_out, quiet);
@@ -245,17 +240,13 @@ int main(int argc, char** argv) {
     }
     std::ostringstream ss;
     ss << f.rdbuf();
-    serve::Response r;
+    serve::Client::EventFn on_event;
     if (watch) {
-      r = client.submit_watch(
-          ss.str(),
-          [](const std::string& line, const runner::JobEvent&) {
-            std::fprintf(stderr, "%s\n", line.c_str());
-          },
-          client_name, int(priority));
-    } else {
-      r = client.submit(ss.str(), client_name, int(priority));
+      on_event = [](const std::string& line, const runner::JobEvent&) {
+        std::fprintf(stderr, "%s\n", line.c_str());
+      };
     }
+    const serve::Response r = client.submit(ss.str(), on_event);
     if (!r.ok) {
       std::fprintf(stderr, "hlsprof-serve: rejected (%s): %s\n",
                    r.error.c_str(), r.message.c_str());
