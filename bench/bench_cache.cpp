@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "common/argparse.hpp"
 #include "common/strings.hpp"
 #include "runner/design_cache.hpp"
 #include "workloads/gemm.hpp"
@@ -56,14 +56,29 @@ double time_sweep(const std::string& dir, int dim, bool expect_disk_hit) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int dim =
-      benchutil::int_flag(&argc, argv, "dim", "HLSPROF_CACHE_BENCH_DIM", 64);
-  const int reps =
-      benchutil::int_flag(&argc, argv, "reps", "HLSPROF_CACHE_BENCH_REPS", 3);
-  const std::string out = benchutil::str_flag(
-      &argc, argv, "out", nullptr, "BENCH_cache.json");
-  const std::string dir = benchutil::str_flag(
-      &argc, argv, "cache-dir", nullptr, "bench_cache.store");
+  long long dim = 64;
+  long long reps = 3;
+  std::string out = "BENCH_cache.json";
+  std::string dir = "bench_cache.store";
+  ArgParser parser;
+  parser.option_int("dim", &dim, "GEMM matrix dimension (default 64)")
+      .option_int("reps", &reps, "cold/warm sweeps, best kept (default 3)")
+      .option("out", &out, "result JSON path (default BENCH_cache.json)")
+      .option("cache-dir", &dir,
+              "store directory, emptied first (default bench_cache.store)");
+  std::string error = parser.parse(argc, argv) ? "" : parser.error();
+  for (const auto& [flag, v] :
+       {std::pair{"--dim", dim}, std::pair{"--reps", reps}}) {
+    if (error.empty() && v < 1) error = std::string(flag) + " must be >= 1";
+  }
+  if (error.empty() && !parser.positionals().empty()) {
+    error = "unexpected argument " + parser.positionals().front();
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "bench_cache: %s\nusage: bench_cache [flags]\n%s",
+                 error.c_str(), parser.help_text().c_str());
+    return 2;
+  }
 
   namespace fs = std::filesystem;
   double cold_best = 0.0;
@@ -85,13 +100,13 @@ int main(int argc, char** argv) {
 
   const std::size_t designs = std::size(kThreadSweep);
   const double speedup = warm_best > 0 ? cold_best / warm_best : 0.0;
-  std::printf("gemm %dx%d, %zu designs: cold %.1f ms (compile), warm %.1f "
-              "ms (deserialize) -> %.1fx | %llu bytes on disk\n",
+  std::printf("gemm %lldx%lld, %zu designs: cold %.1f ms (compile), warm "
+              "%.1f ms (deserialize) -> %.1fx | %llu bytes on disk\n",
               dim, dim, designs, 1e3 * cold_best, 1e3 * warm_best, speedup,
               static_cast<unsigned long long>(bytes_on_disk));
 
   const std::string json = strf(
-      "{\n  \"dim\": %d,\n  \"reps\": %d,\n  \"designs\": %zu,\n"
+      "{\n  \"dim\": %lld,\n  \"reps\": %lld,\n  \"designs\": %zu,\n"
       "  \"cold_seconds\": %.6f,\n  \"warm_seconds\": %.6f,\n"
       "  \"speedup\": %.3f,\n  \"bytes_on_disk\": %llu\n}\n",
       dim, reps, designs, cold_best, warm_best, speedup,

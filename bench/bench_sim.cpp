@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "common/argparse.hpp"
 #include "common/strings.hpp"
 #include "core/hlsprof.hpp"
 #include "workloads/gemm.hpp"
@@ -174,18 +174,31 @@ std::string ff_json(const std::vector<CaseResult>& cases) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int dim = benchutil::int_flag(&argc, argv, "dim", "HLSPROF_SIM_DIM",
-                                      64);
-  const int steps = benchutil::int_flag(&argc, argv, "steps",
-                                        "HLSPROF_SIM_STEPS", 100000);
-  const int reps = benchutil::int_flag(&argc, argv, "reps",
-                                       "HLSPROF_SIM_REPS", 3);
+  long long dim = 64;
+  long long steps = 100000;
+  long long reps = 3;
   std::string out = "BENCH_sim.json";
   std::string ff_out = "BENCH_ff.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) out = a.substr(6);
-    if (a.rfind("--ff-out=", 0) == 0) ff_out = a.substr(9);
+  ArgParser parser;
+  parser.option_int("dim", &dim, "GEMM matrix dimension (default 64)")
+      .option_int("steps", &steps, "pi iterations (default 100000)")
+      .option_int("reps", &reps, "timed runs per tier, best kept (default 3)")
+      .option("out", &out, "throughput JSON path (default BENCH_sim.json)")
+      .option("ff-out", &ff_out,
+              "exact-vs-approx JSON path (default BENCH_ff.json)");
+  std::string error = parser.parse(argc, argv) ? "" : parser.error();
+  for (const auto& [flag, v] : {std::pair{"--dim", dim},
+                                std::pair{"--steps", steps},
+                                std::pair{"--reps", reps}}) {
+    if (error.empty() && v < 1) error = std::string(flag) + " must be >= 1";
+  }
+  if (error.empty() && !parser.positionals().empty()) {
+    error = "unexpected argument " + parser.positionals().front();
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "bench_sim: %s\nusage: bench_sim [flags]\n%s",
+                 error.c_str(), parser.help_text().c_str());
+    return 2;
   }
 
   std::vector<CaseResult> cases;
@@ -247,8 +260,8 @@ int main(int argc, char** argv) {
   }
 
   std::string json = "{\n";
-  json += strf("  \"dim\": %d,\n  \"steps\": %d,\n  \"reps\": %d,\n", dim,
-               steps, reps);
+  json += strf("  \"dim\": %lld,\n  \"steps\": %lld,\n  \"reps\": %lld,\n",
+               dim, steps, reps);
   json += "  \"cases\": {\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];

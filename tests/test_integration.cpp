@@ -9,6 +9,7 @@
 #include "paraver/ascii.hpp"
 #include "paraver/reader.hpp"
 #include "paraver/writer.hpp"
+#include "runner/runner.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/pi.hpp"
 #include "workloads/reference.hpp"
@@ -223,6 +224,57 @@ TEST(PaperShape, OverheadPercentagesInPaperBand) {
     EXPECT_LT(oh.alm_pct, 5.0) << v.name;
     EXPECT_GT(oh.register_pct, 0.1) << v.name;
   }
+}
+
+// ---- E8 and A1-A4 shape: saturation and the ablations -------------------------
+
+std::vector<runner::JobResult> run_manifest(const std::string& text) {
+  const runner::ManifestRun m = runner::parse_manifest(text);
+  const runner::BatchResult r = m.batch.run(m.options);
+  for (const auto& j : r.jobs) {
+    EXPECT_EQ(j.status, runner::JobStatus::ok) << j.name << ": " << j.error;
+  }
+  return r.jobs;
+}
+
+TEST(PaperShape, SaturationAndAblationsHold) {
+  // E8: 8 threads beat both 4 and 16 once every thread pays a software
+  // start cost (the paper-calibrated 700k cycles at 128², scaled down
+  // with the work).
+  const auto e8 = run_manifest(
+      "workload = gemm\nversion = vectorized\ndim = 48\n"
+      "threads = 4, 8, 16\nthread_start_interval = 30000\nprofiling = off\n");
+  EXPECT_LT(e8[1].kernel_cycles, e8[0].kernel_cycles);
+  EXPECT_LT(e8[1].kernel_cycles, e8[2].kernel_cycles);
+
+  // A1: a longer sampling period produces strictly less trace.
+  const auto a1 = run_manifest(
+      "workload = gemm\nversion = vectorized\ndim = 32\n"
+      "sampling_period = 512, 2048, 8192, 32768, 131072\n");
+  for (std::size_t i = 1; i < a1.size(); ++i) {
+    EXPECT_LT(a1[i].trace_bytes, a1[i - 1].trace_bytes) << a1[i].name;
+  }
+
+  // A2: a deeper trace buffer flushes less often.
+  const auto a2 = run_manifest(
+      "workload = gemm\nversion = naive\ndim = 32\n"
+      "buffer_lines = 8, 16, 64, 256, 1024\n");
+  for (std::size_t i = 1; i < a2.size(); ++i) {
+    EXPECT_LT(a2[i].flush_bursts, a2[i - 1].flush_bursts) << a2[i].name;
+  }
+
+  // A3: reordering lets fast threads overtake stalled ones.
+  const auto a3 = run_manifest(
+      "workload = gemm\nversion = vectorized\ndim = 32\n"
+      "thread_reordering = on, off\nthread_start_interval = 100\n"
+      "profiling = off\n");
+  EXPECT_LT(a3[0].kernel_cycles, a3[1].kernel_cycles);
+
+  // A4: preloader bursts beat element-wise thread-port tile loads.
+  const auto a4 = run_manifest(
+      "workload = gemm\nversion = blocked, preloaded\ndim = 32\n"
+      "thread_start_interval = 100\nprofiling = off\n");
+  EXPECT_LT(a4[1].kernel_cycles, a4[0].kernel_cycles);
 }
 
 // ---- session ownership ------------------------------------------------------
