@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -63,6 +64,14 @@ void fill_metrics(JobResult& out, const core::Session& session,
   }
 }
 
+/// Runs `f` inside a `runner` span named `name`: one child of the job's
+/// span per phase, so a job's milliseconds are attributed in its trace.
+template <typename F>
+decltype(auto) in_span(telemetry::Registry& reg, const char* name, F&& f) {
+  telemetry::Span span(reg, name, "runner");
+  return f();
+}
+
 JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
                   DesignCache& cache, const BatchOptions& options) {
   auto& reg = telemetry::Registry::global();
@@ -76,10 +85,12 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
     HLSPROF_CHECK(spec.kernel != nullptr, "JobSpec '" + spec.name +
                                               "' has no kernel factory");
     SplitMix64 rng(seed);
-    ir::Kernel kernel = spec.kernel(rng);
+    ir::Kernel kernel =
+        in_span(reg, "job.kernel", [&] { return spec.kernel(rng); });
 
-    DesignCache::Entry entry = cache.get_or_compile(std::move(kernel),
-                                                    spec.hls);
+    DesignCache::Entry entry = in_span(reg, "job.cache", [&] {
+      return cache.get_or_compile(std::move(kernel), spec.hls);
+    });
     out.design_key = entry.key;
     out.cache_hit = entry.hit;
 
@@ -92,12 +103,25 @@ JobResult run_job(const JobSpec& spec, int index, std::uint64_t seed,
       };
     }
 
-    core::Session session(entry.design, opts);
+    std::optional<core::Session> session;
+    in_span(reg, "job.session",
+            [&] { session.emplace(entry.design, std::move(opts)); });
     HostBuffers buffers;
-    if (spec.bind) spec.bind(session, buffers, rng);
-    const core::RunResult r = session.run();
-    fill_metrics(out, session, r);
-    if (spec.check) spec.check(r, buffers);
+    if (spec.bind) {
+      in_span(reg, "job.bind", [&] { spec.bind(*session, buffers, rng); });
+    }
+    core::RunResult r = session->run();
+    in_span(reg, "job.analysis", [&] { fill_metrics(out, *session, r); });
+    if (spec.check) {
+      in_span(reg, "job.check", [&] { spec.check(r, buffers); });
+    }
+    // Destroy the session (simulator, DRAM, profiling unit), the run's
+    // timeline and the host buffers inside the span.
+    in_span(reg, "job.teardown", [&] {
+      session.reset();
+      r = core::RunResult{};
+      buffers = HostBuffers{};
+    });
     out.status = JobStatus::ok;
   } catch (const std::exception& e) {
     out.status = JobStatus::failed;

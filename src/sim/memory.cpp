@@ -17,7 +17,12 @@ constexpr unsigned log2_exact(std::uint64_t v) {
 }  // namespace
 
 ExternalMemory::ExternalMemory(const DramParams& params, std::size_t capacity)
-    : p_(params), data_(capacity, 0) {
+    : p_(params),
+      data_(static_cast<std::uint8_t*>(std::calloc(capacity, 1))),
+      size_(capacity) {
+  HLSPROF_CHECK(data_ != nullptr || capacity == 0,
+                "cannot allocate " + std::to_string(capacity) +
+                    " bytes of external memory");
   HLSPROF_CHECK(p_.num_banks >= 1, "DRAM needs at least one bank");
   HLSPROF_CHECK(p_.line_bytes > 0 && p_.row_bytes >= p_.line_bytes,
                 "DRAM row must be at least one line");
@@ -35,21 +40,21 @@ addr_t ExternalMemory::allocate(const std::string& label, std::size_t bytes) {
   const addr_t aligned = (alloc_ptr_ + 63) & ~addr_t{63};
   // `aligned + bytes` can wrap for huge requests; compare against the
   // remaining capacity instead so overflow cannot sneak past the check.
-  HLSPROF_CHECK(aligned >= alloc_ptr_ && aligned <= data_.size() &&
-                    bytes <= data_.size() - aligned,
+  HLSPROF_CHECK(aligned >= alloc_ptr_ && aligned <= size_ &&
+                    bytes <= size_ - aligned,
                 "external memory exhausted allocating '" + label + "'");
   alloc_ptr_ = aligned + bytes;
   return aligned;
 }
 
 void ExternalMemory::write_bytes(addr_t addr, const void* src, std::size_t n) {
-  HLSPROF_CHECK(addr + n <= data_.size(), "external memory write out of range");
-  std::memcpy(data_.data() + addr, src, n);
+  HLSPROF_CHECK(addr + n <= size_, "external memory write out of range");
+  std::memcpy(data_.get() + addr, src, n);
 }
 
 void ExternalMemory::read_bytes(addr_t addr, void* dst, std::size_t n) const {
-  HLSPROF_CHECK(addr + n <= data_.size(), "external memory read out of range");
-  std::memcpy(dst, data_.data() + addr, n);
+  HLSPROF_CHECK(addr + n <= size_, "external memory read out of range");
+  std::memcpy(dst, data_.get() + addr, n);
 }
 
 MemTiming ExternalMemory::burst(cycle_t t, addr_t addr, std::uint32_t bytes) {

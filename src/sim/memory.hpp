@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,11 @@ struct MemTiming {
   bool row_hit = false;
 };
 
+/// Functional store: `capacity` is an address-space bound, not a resident
+/// cost. The bytes come from `calloc`, which serves large requests from
+/// fresh anonymous pages the OS zeroes on first touch, so a session pays
+/// only for the pages its buffers and trace actually use. Bytes never
+/// written read as 0. Move-only.
 class ExternalMemory {
  public:
   explicit ExternalMemory(const DramParams& params, std::size_t capacity);
@@ -31,7 +38,7 @@ class ExternalMemory {
   // ---- Address-space management ------------------------------------------
   /// Allocate a 64-byte-aligned region; returns its base address.
   addr_t allocate(const std::string& label, std::size_t bytes);
-  std::size_t capacity() const { return data_.size(); }
+  std::size_t capacity() const { return size_; }
 
   // ---- Functional access -----------------------------------------------------
   void write_bytes(addr_t addr, const void* src, std::size_t n);
@@ -42,17 +49,17 @@ class ExternalMemory {
   // copy lower to a single load/store) instead of calling read_bytes.
   template <typename T>
   T read_scalar(addr_t addr) const {
-    HLSPROF_CHECK(addr + sizeof(T) <= data_.size(),
+    HLSPROF_CHECK(addr + sizeof(T) <= size_,
                   "external memory read out of range");
     T v;
-    std::memcpy(&v, data_.data() + addr, sizeof(T));
+    std::memcpy(&v, data_.get() + addr, sizeof(T));
     return v;
   }
   template <typename T>
   void write_scalar(addr_t addr, T v) {
-    HLSPROF_CHECK(addr + sizeof(T) <= data_.size(),
+    HLSPROF_CHECK(addr + sizeof(T) <= size_,
                   "external memory write out of range");
-    std::memcpy(data_.data() + addr, &v, sizeof(T));
+    std::memcpy(data_.get() + addr, &v, sizeof(T));
   }
 
   // ---- Timing --------------------------------------------------------------
@@ -100,8 +107,13 @@ class ExternalMemory {
     std::int64_t open_row = -1;
   };
 
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   DramParams p_;
-  std::vector<std::uint8_t> data_;
+  std::unique_ptr<std::uint8_t[], FreeDeleter> data_;
+  std::size_t size_ = 0;
   std::vector<Bank> banks_;
   cycle_t bus_free_at_ = 0;
   addr_t alloc_ptr_ = 0;

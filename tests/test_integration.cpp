@@ -317,5 +317,27 @@ TEST(SessionOwnership, SharedDesignServesManySessions) {
   EXPECT_GE(design.use_count(), 1);
 }
 
+TEST(SessionOwnership, FreshSessionSeesZeroedDram) {
+  // A session's DRAM starts zeroed: nothing one job wrote is visible to
+  // the next, even at the very address its output buffer had.
+  auto design = core::compile_shared(workloads::vecadd(64, 2));
+  addr_t z_base = 0;
+  {
+    core::Session first(design);
+    std::vector<float> x(64, 1.0f), y(64, 2.0f), z(64, 0.0f);
+    first.sim().bind_f32("x", x);
+    first.sim().bind_f32("y", y);
+    first.sim().bind_f32("z", z);
+    (void)first.run();
+    z_base = first.sim().device_base("z");
+    ASSERT_EQ(first.sim().memory().read_scalar<float>(z_base), 3.0f);
+  }
+  core::Session second(design);
+  std::vector<float> dram(64, -1.0f);
+  second.sim().memory().read_bytes(z_base, dram.data(),
+                                   dram.size() * sizeof(float));
+  for (float v : dram) EXPECT_EQ(v, 0.0f);
+}
+
 }  // namespace
 }  // namespace hlsprof

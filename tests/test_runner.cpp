@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/hlsprof.hpp"
 #include "runner/runner.hpp"
 #include "workloads/gemm.hpp"
@@ -420,6 +422,66 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
   }
   EXPECT_EQ(exit_status(run + "--workers=1"), 0);
   EXPECT_EQ(exit_status(run + "--shards=1 --seed=0"), 0);
+}
+
+/// Contents of a whole file ("" if it cannot be read).
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Stdout of a shell command; fails the test unless it exits 0.
+std::string command_stdout(const std::string& cmd) {
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  EXPECT_NE(p, nullptr) << cmd;
+  if (p == nullptr) return std::string();
+  std::string out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0) out.append(buf, n);
+  EXPECT_EQ(::pclose(p), 0) << cmd;
+  return out;
+}
+
+TEST(RunnerCli, ReportsParseAndTelemetryLeavesCanonicalBytesAlone) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "hlsprof_cli_smoke";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string run = std::string(HLSPROF_RUN_BIN) + " " +
+                          HLSPROF_MANIFEST_DIR + "/pi_sampling.manifest" +
+                          " --workers=2 --json --canonical --quiet --out=";
+  const fs::path plain = dir / "plain";
+  const fs::path traced = dir / "traced";
+
+  // The JSON report on stdout and both report files parse.
+  const std::string stdout_json = command_stdout(run + plain.string());
+  EXPECT_NO_THROW(json_parse(stdout_json));
+  EXPECT_NO_THROW(json_parse(slurp(plain.string() + ".json")));
+  EXPECT_FALSE(slurp(plain.string() + ".csv").empty());
+
+  // Telemetry on: every sidecar parses, the trace carries the job phase
+  // spans, and the canonical report bytes do not change.
+  const fs::path snapshot = dir / "telemetry.json";
+  const fs::path chrome = dir / "chrome_trace.json";
+  const std::string traced_json = command_stdout(
+      run + traced.string() + " --telemetry-out=" + snapshot.string() +
+      " --chrome-trace=" + chrome.string());
+  EXPECT_NO_THROW(json_parse(slurp(snapshot)));
+  EXPECT_NO_THROW(json_parse(slurp(traced.string() + ".telemetry.json")));
+  const std::string trace = slurp(chrome);
+  EXPECT_NO_THROW(json_parse(trace));
+  for (const char* span : {"\"job.session\"", "\"sim.run\"",
+                           "\"job.teardown\""}) {
+    EXPECT_NE(trace.find(span), std::string::npos) << span;
+  }
+  EXPECT_EQ(stdout_json, traced_json);
+  EXPECT_EQ(slurp(plain.string() + ".json"), slurp(traced.string() + ".json"));
+  EXPECT_EQ(slurp(plain.string() + ".csv"), slurp(traced.string() + ".csv"));
+
+  // --version works; an unknown flag is an error, not ignored.
+  EXPECT_EQ(exit_status(std::string(HLSPROF_RUN_BIN) + " --version"), 0);
+  EXPECT_NE(exit_status(std::string(HLSPROF_RUN_BIN) + " --bogus"), 0);
 }
 
 TEST(RunnerCli, ServeNegativeWorkersIsAUsageError) {

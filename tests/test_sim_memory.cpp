@@ -1,9 +1,14 @@
 // Tests for the DRAM model: functional store, allocation, and the banked
 // open-page timing behaviour the GEMM case study depends on.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 
 #include "common/error.hpp"
+#include "core/hlsprof.hpp"
 #include "sim/memory.hpp"
+#include "workloads/pi.hpp"
 
 namespace hlsprof::sim {
 namespace {
@@ -169,6 +174,51 @@ TEST(Memory, RejectsBadGeometry) {
   q.row_bytes = 16;
   q.line_bytes = 64;
   EXPECT_THROW(ExternalMemory(q, 1024), Error);
+}
+
+// ---- zero-on-first-touch store ------------------------------------------------
+
+constexpr std::size_t k64MiB = std::size_t{64} << 20;
+
+TEST(SimMemory, UntouchedBytesReadZeroAcrossCapacity) {
+  ExternalMemory mem(default_params(), k64MiB);
+  ASSERT_EQ(mem.capacity(), k64MiB);
+  for (const addr_t a : {addr_t{0}, addr_t{k64MiB / 2}, addr_t{k64MiB - 8}}) {
+    EXPECT_EQ(mem.read_scalar<std::int64_t>(a), 0) << "address " << a;
+  }
+  mem.write_scalar<std::uint8_t>(k64MiB - 1, 0xab);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(k64MiB - 1), 0xab);
+  EXPECT_EQ(mem.read_scalar<std::uint8_t>(k64MiB - 2), 0);
+  EXPECT_THROW(mem.read_scalar<std::uint8_t>(k64MiB), Error);
+  EXPECT_THROW(mem.write_scalar<std::uint8_t>(k64MiB, 1), Error);
+  std::uint8_t two[2] = {};
+  EXPECT_THROW(mem.read_bytes(k64MiB - 1, two, 2), Error);
+}
+
+/// Resident set size of this process in bytes, or -1 if unknown.
+long long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long long size_pages = 0;
+  long long resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return -1;
+  return resident_pages * ::sysconf(_SC_PAGESIZE);
+}
+
+TEST(SimMemory, ConstructionDoesNotTouchCapacity) {
+  // Capacity is an address-space bound, not a resident cost: building a
+  // 64 MiB store and a profiled session (whose own DRAM is 64 MiB too)
+  // makes only the pages they write resident.
+  workloads::PiConfig cfg;
+  cfg.steps = 1024;
+  auto design = core::compile_shared(workloads::pi_series(cfg));
+  const long long before = resident_bytes();
+  if (before < 0) GTEST_SKIP() << "/proc/self/statm is not readable";
+  ExternalMemory mem(default_params(), k64MiB);
+  core::Session session(design);
+  const long long grown = resident_bytes() - before;
+  EXPECT_LT(grown, 16ll << 20) << "resident size grew by " << grown
+                               << " bytes";
+  EXPECT_EQ(mem.read_scalar<std::int64_t>(k64MiB - 8), 0);
 }
 
 }  // namespace

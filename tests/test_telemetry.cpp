@@ -5,13 +5,17 @@
 // on or off).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/build_info.hpp"
+#include "runner/manifest.hpp"
 #include "runner/runner.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -484,6 +488,64 @@ const telemetry::CounterView* counter_named(const telemetry::Snapshot& s,
     if (c.name == name) return &c;
   }
   return nullptr;
+}
+
+// ---- attribution: a job's spans account for its time ------------------------
+
+/// Fraction of `job` covered by the union of the other spans on its track
+/// that lie inside it.
+double covered_fraction(const telemetry::SpanView& job,
+                        const std::vector<telemetry::SpanView>& spans) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> inside;
+  for (const auto& s : spans) {
+    if (&s != &job && s.track == job.track && s.begin_us >= job.begin_us &&
+        s.end_us <= job.end_us) {
+      inside.emplace_back(s.begin_us, s.end_us);
+    }
+  }
+  std::sort(inside.begin(), inside.end());
+  std::uint64_t covered = 0;
+  std::uint64_t reach = job.begin_us;
+  for (const auto& [b, e] : inside) {
+    const std::uint64_t from = std::max(b, reach);
+    if (e > from) covered += e - from;
+    reach = std::max(reach, e);
+  }
+  const std::uint64_t dur = job.end_us - job.begin_us;
+  return dur == 0 ? 1.0 : double(covered) / double(dur);
+}
+
+TEST(TelemetryAttribution, JobSpansAreCovered) {
+  runner::ManifestRun m = runner::parse_manifest(
+      "workload = pi\nsteps = 16384\nthreads = 8\nverify = on\n"
+      "sampling_period = 1024, 2048, 4096, 8192, 16384, 32768, 65536, "
+      "131072\n");
+  m.options.workers = 1;
+  ASSERT_GE(m.batch.size(), 8u);
+
+  auto& reg = telemetry::Registry::global();
+  reg.reset_values();
+  reg.enable(true);
+  const runner::BatchResult r = m.batch.run(m.options);
+  const telemetry::Snapshot snap = reg.snapshot();
+  reg.enable(false);
+  reg.reset_values();
+
+  for (const auto& j : r.jobs) {
+    ASSERT_EQ(j.status, runner::JobStatus::ok) << j.name << ": " << j.error;
+  }
+  std::vector<double> covered;
+  for (const auto& s : snap.spans) {
+    if (s.name.rfind("job:", 0) == 0) {
+      covered.push_back(covered_fraction(s, snap.spans));
+    }
+  }
+  ASSERT_EQ(covered.size(), r.jobs.size());
+  // The median, so one preempted job cannot fail the run.
+  std::sort(covered.begin(), covered.end());
+  const double median = covered[covered.size() / 2];
+  EXPECT_GE(median, 0.95) << "child spans cover only " << median * 100
+                          << " % of the median job";
 }
 
 TEST(TelemetrySnapshot, IncludeEventsFalseOmitsSpansAndSamples) {
