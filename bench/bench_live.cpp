@@ -154,15 +154,6 @@ void BM_format_job_event(benchmark::State& state) {
 }
 BENCHMARK(BM_format_job_event);
 
-void BM_parse_job_event(benchmark::State& state) {
-  const std::string line = runner::format_job_event(sample_event());
-  runner::JobEvent out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runner::parse_job_event(line, &out));
-  }
-}
-BENCHMARK(BM_parse_job_event);
-
 }  // namespace
 
 int main(int argc, char** argv) {

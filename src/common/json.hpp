@@ -1,9 +1,8 @@
-// Minimal JSON support used by the batch-report layer and the serving
-// protocol: a streaming writer that emits deterministic, valid,
-// single-line JSON (keys in insertion order, %.17g doubles, full string
-// escaping) and a strict recursive-descent reader (json_parse) for the
-// daemon's line-delimited request/response messages. Round trip is exact
-// for strings: json_parse(JsonWriter output) recovers the original bytes.
+// Minimal JSON support used by the batch-report layer and the job-event
+// line: a streaming writer that emits deterministic, valid, single-line
+// JSON (keys in insertion order, %.17g doubles, full string escaping) and
+// a strict recursive-descent reader (json_parse). Round trip is exact for
+// strings: json_parse(JsonWriter output) recovers the original bytes.
 #pragma once
 
 #include <cstdint>

@@ -40,8 +40,7 @@ struct LoopInfo {
 /// Census of a straight-line (non-loop) scheduled segment is not stored;
 /// the interpreter charges per-op latencies directly via `op_latency`.
 
-/// Design-level statistics consumed by the profiling-unit overhead model
-/// and by the Verilog emitter.
+/// Design-level statistics consumed by the profiling-unit overhead model.
 struct DesignStats {
   int num_threads = 0;
   int total_stages = 0;

@@ -1,6 +1,5 @@
 #include "live/reporter.hpp"
 
-#include <algorithm>
 
 #include "common/strings.hpp"
 
@@ -102,75 +101,6 @@ void BatchLiveReporter::finish() {
   if (ticker_drawn_ && opts_.display != nullptr) {
     std::fputc('\n', opts_.display);
     std::fflush(opts_.display);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FleetView
-
-FleetView::FleetView(std::size_t jobs_total, FleetOptions opts)
-    : opts_(opts) {
-  total_.jobs = jobs_total;
-}
-
-void FleetView::update(int shard, const runner::JobEvent& e) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (finished_) return;
-  total_.add(e);
-  JobTotals& lane = lanes_[shard];
-  lane.jobs = e.jobs;
-  lane.add(e);
-  if (opts_.display == nullptr) return;
-  const auto now = std::chrono::steady_clock::now();
-  if (rendered_once_) {
-    const double min_gap = opts_.refresh_hz > 0 ? 1.0 / opts_.refresh_hz : 0.0;
-    const std::chrono::duration<double> since = now - last_render_;
-    if (since.count() < min_gap) return;
-  }
-  last_render_ = now;
-  render_locked();
-}
-
-JobTotals FleetView::merged() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-std::string FleetView::render_frame() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return render_frame_locked();
-}
-
-std::string FleetView::render_frame_locked() const {
-  std::string out;
-  for (const auto& [shard, lane] : lanes_) {
-    out += strf("shard %-2d  ", shard) + format_totals(lane) + "\n";
-  }
-  out += "fleet     " + format_totals(total_) + "\n";
-  return out;
-}
-
-void FleetView::render_locked() {
-  std::string out;
-  if (opts_.in_place) {
-    const std::string frame = render_frame_locked();
-    out = redraw_in_place(frame, rendered_once_ ? prev_frame_lines_ : 0);
-    prev_frame_lines_ = int(std::count(frame.begin(), frame.end(), '\n'));
-  } else {
-    // Non-TTY: one plain merged summary per refresh, no escapes.
-    out = "live: " + format_totals(total_) + "\n";
-  }
-  std::fwrite(out.data(), 1, out.size(), opts_.display);
-  std::fflush(opts_.display);
-  rendered_once_ = true;
-}
-
-void FleetView::finish() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (finished_) return;
-  finished_ = true;
-  if (opts_.display != nullptr && rendered_once_ && opts_.in_place) {
-    render_locked();
   }
 }
 

@@ -1,14 +1,8 @@
-// Batch- and fleet-level live reporting, folded from job events
-// (runner/job_event.hpp):
-//
-//  * BatchLiveReporter — the human display of one batch run on a TTY:
-//    the live timeline of the job currently holding the display slot
-//    (fed by runner::BatchOptions::on_trace), or a one-line totals
-//    ticker updated as jobs finish (runner::BatchOptions::on_job_event).
-//  * FleetView — the coordinator-side view of a shard fleet: the job
-//    events the children print, one lane per shard plus a merged fleet
-//    total, redrawn in place on a TTY or emitted as throttled plain lines
-//    otherwise.
+// Batch-level live reporting, folded from job events
+// (runner/job_event.hpp): BatchLiveReporter is the human display of one
+// batch run on a TTY — the live timeline of the job currently holding the
+// display slot (fed by runner::BatchOptions::on_trace), or a one-line
+// totals ticker updated as jobs finish (runner::BatchOptions::on_job_event).
 //
 // Everything here is an *observer* of the canonical pipeline: reports,
 // Paraver traces, and exit codes are byte-identical with live reporting
@@ -16,9 +10,7 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,8 +25,7 @@ enum class LiveMode { off, state, metrics };
 /// "state" / "metrics" → the mode; anything else returns false.
 bool parse_live_mode(const std::string& s, LiveMode* out);
 
-/// Running totals over finished jobs. Exact integers, so totals of
-/// several processes add without loss.
+/// Running totals over finished jobs, in exact integers.
 struct JobTotals {
   std::size_t done = 0;
   std::size_t jobs = 0;
@@ -93,44 +84,6 @@ class BatchLiveReporter {
   JobTotals totals_;
   bool ticker_drawn_ = false;
   bool finished_ = false;
-};
-
-struct FleetOptions {
-  std::FILE* display = nullptr;  // human stream; null = silent
-  /// True when `display` is a TTY: redraw the per-shard frame in place.
-  /// False: emit throttled plain merged-summary lines instead.
-  bool in_place = false;
-  double refresh_hz = 10.0;
-};
-
-/// Coordinator-side fold of the job events of a shard fleet. Thread-safe.
-/// Each job is folded as often as it is passed in; the shard coordinator
-/// (ShardOptions::on_job_event) passes on only the first copy of a job.
-class FleetView {
- public:
-  FleetView(std::size_t jobs_total, FleetOptions opts);
-
-  /// Fold a job event shard `shard` reported and (throttled) redraw.
-  void update(int shard, const runner::JobEvent& e);
-
-  JobTotals merged() const;
-  /// Per-shard lanes plus the fleet total, as plain lines (tests).
-  std::string render_frame() const;
-  /// Final redraw + release of the in-place frame.
-  void finish();
-
- private:
-  std::string render_frame_locked() const;
-  void render_locked();
-
-  FleetOptions opts_;
-  mutable std::mutex mu_;
-  std::map<int, JobTotals> lanes_;  // per shard: the jobs it reported
-  JobTotals total_;
-  int prev_frame_lines_ = 0;
-  bool finished_ = false;
-  std::chrono::steady_clock::time_point last_render_{};
-  bool rendered_once_ = false;
 };
 
 }  // namespace hlsprof::live

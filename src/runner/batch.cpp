@@ -1,15 +1,11 @@
 #include "runner/batch.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <utility>
 
-#include "common/error.hpp"
 #include "paraver/analysis.hpp"
 #include "runner/pool.hpp"
 #include "telemetry/telemetry.hpp"
@@ -156,14 +152,6 @@ const char* job_status_name(JobStatus s) {
   return "?";
 }
 
-std::optional<JobStatus> job_status_from_name(const std::string& name) {
-  for (JobStatus s :
-       {JobStatus::ok, JobStatus::failed, JobStatus::timed_out}) {
-    if (name == job_status_name(s)) return s;
-  }
-  return std::nullopt;
-}
-
 int BatchResult::count(JobStatus s) const {
   int n = 0;
   for (const auto& j : jobs) n += (j.status == s) ? 1 : 0;
@@ -186,35 +174,9 @@ BatchResult Batch::run(const BatchOptions& options) const {
   auto& reg = telemetry::Registry::global();
   telemetry::Span batch_span(reg, "batch.run", "runner");
 
-  // Resolve the job selection: the indices to run, ascending. A selected
-  // job keeps its original index (and therefore its derived seed), so the
-  // results are the exact slice of a full run.
-  std::vector<int> indices;
-  if (options.select.empty()) {
-    indices.resize(jobs_.size());
-    for (std::size_t i = 0; i < jobs_.size(); ++i) indices[i] = int(i);
-  } else {
-    indices = options.select;
-    int prev = -1;
-    for (const int idx : indices) {
-      if (idx < 0 || idx >= int(jobs_.size())) {
-        fail("batch select: job index " + std::to_string(idx) +
-             " out of range (batch has " + std::to_string(jobs_.size()) +
-             " jobs)");
-      }
-      if (idx <= prev) {
-        fail("batch select: indices must be strictly ascending (got " +
-             std::to_string(idx) + " after " + std::to_string(prev) + ")");
-      }
-      prev = idx;
-    }
-  }
-
   BatchResult result;
-  result.jobs.resize(indices.size());
-  result.workers = options.pool != nullptr
-                       ? options.pool->workers()
-                       : Pool::resolve_workers(options.workers);
+  result.jobs.resize(jobs_.size());
+  result.workers = Pool::resolve_workers(options.workers);
   if (reg.enabled()) {
     reg.gauge("runner.workers", "threads").set(double(result.workers));
   }
@@ -227,42 +189,25 @@ BatchResult Batch::run(const BatchOptions& options) const {
   const CacheStats before = cache.stats();
 
   const auto t0 = std::chrono::steady_clock::now();
-  // Runs job k of the selection into its slot, then announces it.
-  std::atomic<std::size_t> done{0};
-  const auto run_one = [&](std::size_t k) {
-    const int i = indices[k];
+  // Runs job i into its slot, then announces it. The lock numbers the
+  // event and delivers it in one step, so events arrive in `done` order.
+  std::mutex event_mu;
+  std::size_t done = 0;
+  const auto run_one = [&](int i) {
     const JobSpec& spec = jobs_[std::size_t(i)];
     const std::uint64_t seed =
         spec.seed != 0 ? spec.seed : job_seed(options.seed, i);
-    result.jobs[k] = run_job(spec, i, seed, cache, options);
+    JobResult& job = result.jobs[std::size_t(i)];
+    job = run_job(spec, i, seed, cache, options);
     if (options.on_job_event) {
-      options.on_job_event(
-          make_job_event(result.jobs[k], done.fetch_add(1) + 1,
-                         indices.size()));
+      std::lock_guard<std::mutex> lock(event_mu);
+      options.on_job_event(make_job_event(job, ++done, jobs_.size()));
     }
   };
-  if (options.pool != nullptr) {
-    // Shared-pool mode: the pool serves other batches too, so Pool::wait()
-    // (which waits for global idleness) is wrong — track completion of
-    // exactly this batch's tasks.
-    struct Remaining {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t n;
-    } remaining{{}, {}, indices.size()};
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      options.pool->submit([&run_one, &remaining, k] {
-        run_one(k);
-        std::lock_guard<std::mutex> lock(remaining.mu);
-        if (--remaining.n == 0) remaining.cv.notify_all();
-      });
-    }
-    std::unique_lock<std::mutex> lock(remaining.mu);
-    remaining.cv.wait(lock, [&remaining] { return remaining.n == 0; });
-  } else {
+  {
     Pool pool(result.workers);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      pool.submit([&run_one, k] { run_one(k); });
+    for (int i = 0; i < int(jobs_.size()); ++i) {
+      pool.submit([&run_one, i] { run_one(i); });
     }
     pool.wait();
   }
@@ -274,24 +219,6 @@ BatchResult Batch::run(const BatchOptions& options) const {
   result.cache_hits = after.hits - before.hits;
   result.cache_misses = after.misses - before.misses;
   return result;
-}
-
-void rebase_cache_stats(BatchResult& result) {
-  std::set<std::uint64_t> seen;
-  long long hits = 0;
-  long long misses = 0;
-  for (JobResult& job : result.jobs) {
-    if (job.design_key == 0) continue;
-    if (seen.insert(job.design_key).second) {
-      ++misses;
-      job.cache_hit = false;
-    } else {
-      ++hits;
-      job.cache_hit = true;
-    }
-  }
-  result.cache_hits = hits;
-  result.cache_misses = misses;
 }
 
 }  // namespace hlsprof::runner

@@ -13,12 +13,11 @@
 #include "runner/design_cache.hpp"
 #include "runner/job.hpp"
 #include "runner/job_event.hpp"
-#include "runner/pool.hpp"
 
 namespace hlsprof::runner {
 
 struct BatchOptions {
-  /// 0 = one worker per hardware thread. Ignored when `pool` is set.
+  /// 0 = one worker per hardware thread.
   int workers = 0;
   /// Base seed; job i runs with SplitMix64 seeded from (seed, i) unless
   /// its spec pins an explicit seed.
@@ -35,24 +34,11 @@ struct BatchOptions {
   /// LRU size cap for the on-disk tier (bytes, evicted on open);
   /// 0 = unbounded. Only meaningful with a non-empty cache_dir.
   std::uint64_t cache_max_bytes = 0;
-  /// Run the batch's jobs on this already-running pool instead of
-  /// creating one per run() call — the serving daemon's mode, where one
-  /// resident pool executes every request's jobs and worker threads are
-  /// never re-created per request. run() still blocks until exactly this
-  /// batch's jobs finish (other work sharing the pool is not waited on).
-  /// Null = the classic per-run pool of `workers` threads.
-  Pool* pool = nullptr;
-  /// Non-empty: run only these job indices (strictly ascending, each in
-  /// [0, size())). Every selected job keeps its original index and the
-  /// seed derived from it, so its JobResult is byte-for-byte the slice a
-  /// full run would have produced — the shard coordinator's contract.
-  /// BatchResult::jobs then holds exactly the selected jobs, in index
-  /// order. Empty = run everything.
-  std::vector<int> select;
   /// Called once per finished job with its job event (job_event.hpp;
-  /// `done` counts this run's finished jobs, `jobs` its selection), from
-  /// the worker thread that ran it — concurrently across jobs, so the
-  /// callback must lock its own state. Null = off.
+  /// `done` counts this run's finished jobs, `jobs` the batch size), from
+  /// the worker thread that ran it. Calls never overlap and arrive in
+  /// `done` order, so a streamed event line never overtakes an earlier
+  /// one. Null = off.
   std::function<void(const JobEvent&)> on_job_event;
   /// Live view of each running job's timeline fold: installed as the
   /// job's core::RunOptions::trace_progress with the job index and name
@@ -97,15 +83,5 @@ class Batch {
  private:
   std::vector<JobSpec> jobs_;
 };
-
-/// Rewrite the result's cache accounting to its deterministic,
-/// batch-relative form: within the job list, the first job to use each
-/// design is the miss, later jobs are hits. For a run against a fresh
-/// cache this reproduces the real counters; for a warm or shared cache
-/// (the serving daemon) and for reports merged from per-shard runs (each
-/// with its own process-local cache) it is what makes canonical bytes
-/// independent of who actually compiled. Jobs that never produced a
-/// design key (failed before compile) are not counted.
-void rebase_cache_stats(BatchResult& result);
 
 }  // namespace hlsprof::runner

@@ -44,8 +44,8 @@ constexpr const char* kEntrySuffix = ".design";
 constexpr const char* kTmpPrefix = ".tmp-";
 /// A temp file this old is a crashed writer's leftover, not a live
 /// write: store() publishes within the time of one compile (seconds).
-/// Younger temp files may belong to a sibling in a shard fleet whose
-/// children open the shared store while others are already writing.
+/// Younger temp files may belong to another hlsprof-run process that
+/// shares the --cache-dir and is writing while this one opens it.
 constexpr std::int64_t kTmpMaxAgeSeconds = 600;
 
 /// Entries are only valid for the build that wrote them: the payload
@@ -137,11 +137,11 @@ std::uint64_t DiskDesignStore::scan_and_evict_locked(bool clean_tmp) {
     const std::string name = de.path().filename().string();
     if (name.rfind(kTmpPrefix, 0) == 0) {
       // A crashed writer's leftover was never published and is safe to
-      // drop at open — but only once demonstrably stale. A shard
-      // fleet's children open this store while siblings may be
-      // mid-write; deleting a live temp file would make the sibling's
-      // rename silently fail and lose the entry. Mid-run passes leave
-      // temp files alone entirely.
+      // drop at open — but only once demonstrably stale. Two hlsprof-run
+      // processes may share one --cache-dir, so one can open the store
+      // while the other is mid-write; deleting a live temp file would
+      // make the writer's rename silently fail and lose the entry. Mid-run
+      // passes leave temp files alone entirely.
       if (clean_tmp) {
         struct ::stat st{};
         if (::stat(de.path().c_str(), &st) == 0 &&

@@ -26,9 +26,9 @@ class DiskDesignStore {
     /// LRU size cap in bytes, enforced at open time and continuously
     /// after: store() tracks an estimate of the on-disk total and
     /// re-runs the eviction pass whenever a write pushes it past the
-    /// cap, so a long-lived process (the serving daemon, a shard fleet)
-    /// stays bounded instead of growing until the next open. 0 =
-    /// unbounded.
+    /// cap, so the store stays bounded while processes that share one
+    /// --cache-dir keep writing, instead of growing until the next open.
+    /// 0 = unbounded.
     std::uint64_t max_bytes = 0;
   };
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -100,8 +99,6 @@ struct JobSpec {
 enum class JobStatus { ok, failed, timed_out };
 
 const char* job_status_name(JobStatus s);
-/// Inverse of job_status_name; nullopt for anything else.
-std::optional<JobStatus> job_status_from_name(const std::string& name);
 
 /// Flattened per-job record. Everything here is deterministic except
 /// wall_ms and cache_hit (which job of several sharing a design performs

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -39,20 +40,33 @@ const std::vector<std::string> kScalarKeys = {
     "workers",  "seed",      "verify",                "out",
     "label",    "cache_dir", "cache_max_bytes",       "approx_trace"};
 
-// List-valued control keys: known and comma-separated like sweep keys,
-// but they steer execution instead of adding a sweep axis. `select`
-// restricts the run to the listed job indices of the full cross product
-// (original indices and seeds preserved) — the shard coordinator's
-// sub-manifest mechanism, also handy for re-running a failed subset.
-const std::vector<std::string> kControlKeys = {"select"};
-
-// Every integer-valued key, sweep or scalar: validated eagerly at parse
-// time so a bad value is reported with its manifest line, not from deep
-// inside job construction.
-const std::vector<std::string> kIntKeys = {
-    "dim", "threads", "block", "vector_len", "steps", "unroll", "n",
-    "sampling_period", "buffer_lines", "workers", "seed",
-    "thread_start_interval", "max_cycles", "cache_max_bytes"};
+// Every integer-valued key, sweep or scalar, with its valid range:
+// validated eagerly at parse time so a bad value is reported with its
+// manifest line, not from deep inside job construction. Keys narrowed to
+// `int`, or to a 32-bit kernel value (`steps`, `n`), stop at INT_MAX, so
+// no value wraps into a different job.
+struct IntRange {
+  std::int64_t min;
+  std::int64_t max;
+};
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+const std::map<std::string, IntRange> kIntKeys = {
+    {"dim", {1, kIntMax}},
+    {"threads", {1, kIntMax}},
+    {"block", {1, kIntMax}},
+    {"vector_len", {1, kIntMax}},
+    {"steps", {1, kIntMax}},
+    {"unroll", {1, kIntMax}},
+    {"n", {1, kIntMax}},
+    {"sampling_period", {1, kInt64Max}},
+    {"buffer_lines", {1, kIntMax}},
+    {"workers", {0, kIntMax}},
+    {"seed", {0, kInt64Max}},
+    {"thread_start_interval", {0, kInt64Max}},
+    {"max_cycles", {0, kInt64Max}},
+    {"cache_max_bytes", {0, kInt64Max}},
+};
 
 const std::vector<std::string> kOnOffKeys = {"profiling", "verify",
                                              "thread_reordering",
@@ -66,8 +80,7 @@ bool contains(const std::vector<std::string>& list, const std::string& k) {
 }
 
 bool known_key(const std::string& k) {
-  return contains(kSweepKeys, k) || contains(kScalarKeys, k) ||
-         contains(kControlKeys, k);
+  return contains(kSweepKeys, k) || contains(kScalarKeys, k);
 }
 
 /// "manifest:<line>: " prefix when the line is known; plain "manifest: "
@@ -125,8 +138,7 @@ KeyMap parse_keys(const std::string& text) {
     if (!known_key(key)) {
       fail(at(lineno) + "unknown key '" + key + "' (sweep keys: " +
            join(kSweepKeys, ", ") + "; scalar keys: " +
-           join(kScalarKeys, ", ") + "; control keys: " +
-           join(kControlKeys, ", ") + ")");
+           join(kScalarKeys, ", ") + ")");
     }
     if (keys.count(key) != 0) {
       fail(at(lineno) + "duplicate key '" + key + "' (first declared on line " +
@@ -147,8 +159,18 @@ KeyMap parse_keys(const std::string& text) {
   // Eager type validation: report bad values against their source line
   // while we still know it.
   for (const auto& [key, kv] : keys) {
-    if (contains(kIntKeys, key) || key == "select") {
-      for (const auto& v : kv.values) parse_int(key, v, kv.line);
+    if (const auto range = kIntKeys.find(key); range != kIntKeys.end()) {
+      for (const auto& v : kv.values) {
+        const std::int64_t n = parse_int(key, v, kv.line);
+        if (n < range->second.min) {
+          fail(at(kv.line) + "key '" + key + "': must be >= " +
+               std::to_string(range->second.min) + " (got " + v + ")");
+        }
+        if (n > range->second.max) {
+          fail(at(kv.line) + "key '" + key + "': must be <= " +
+               std::to_string(range->second.max) + " (got " + v + ")");
+        }
+      }
     } else if (contains(kOnOffKeys, key)) {
       for (const auto& v : kv.values) parse_on_off(key, v, kv.line);
     }
@@ -355,20 +377,13 @@ ManifestRun parse_manifest(const std::string& text) {
   ManifestRun run;
   run.label = scalar(keys, "label", workload);
   run.out_prefix = scalar(keys, "out", "");
-  const std::int64_t workers =
-      parse_int("workers", scalar(keys, "workers", "0"));
-  if (workers < 0) {
-    fail(at(keys.at("workers").line) + "key 'workers': must be >= 0 (got " +
-         std::to_string(workers) + ")");
-  }
-  run.options.workers = int(workers);
+  // Integer values below are in range: parse_keys checked them.
+  run.options.workers = int(parse_int("workers", scalar(keys, "workers", "0")));
   run.options.seed =
       std::uint64_t(parse_int("seed", scalar(keys, "seed", "1")));
   run.options.cache_dir = scalar(keys, "cache_dir", "");
-  const std::int64_t cache_max =
-      parse_int("cache_max_bytes", scalar(keys, "cache_max_bytes", "0"));
-  if (cache_max < 0) fail("manifest: cache_max_bytes must be >= 0");
-  run.options.cache_max_bytes = std::uint64_t(cache_max);
+  run.options.cache_max_bytes = std::uint64_t(
+      parse_int("cache_max_bytes", scalar(keys, "cache_max_bytes", "0")));
 
   const bool profiling =
       parse_on_off("profiling", scalar(keys, "profiling", "on"));
@@ -448,24 +463,6 @@ ManifestRun parse_manifest(const std::string& text) {
     run.batch.add(std::move(spec));
   }
 
-  // `select`: restrict the run to these job indices of the cross product
-  // just built. Sorted and deduplicated here (Batch::run requires strict
-  // ascending order); range errors point at the manifest line.
-  if (const auto it = keys.find("select"); it != keys.end()) {
-    std::vector<int> select;
-    for (const auto& v : it->second.values) {
-      const std::int64_t idx = parse_int("select", v, it->second.line);
-      if (idx < 0 || idx >= std::int64_t(run.batch.size())) {
-        fail(at(it->second.line) + "key 'select': job index " + v +
-             " out of range (manifest expands to " +
-             std::to_string(run.batch.size()) + " jobs)");
-      }
-      select.push_back(int(idx));
-    }
-    std::sort(select.begin(), select.end());
-    select.erase(std::unique(select.begin(), select.end()), select.end());
-    run.options.select = std::move(select);
-  }
   return run;
 }
 

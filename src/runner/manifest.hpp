@@ -22,10 +22,9 @@
 // workers, seed, verify (on|off), out, label, cache_dir,
 // cache_max_bytes (the persistent design-cache location and LRU cap —
 // see docs/CACHING.md; CLI --cache-dir/--cache-max-bytes override).
-// Control keys: select (comma list of job indices — run only that
-// subset of the expanded cross product, original indices and seeds
-// preserved; the shard coordinator's sub-manifest mechanism, see
-// docs/SHARDING.md).
+// Integer keys are range-checked: sizes and counts >= 1, workers, seed,
+// thread_start_interval, max_cycles and cache_max_bytes >= 0, and keys
+// held in an `int` or a 32-bit kernel value <= INT_MAX.
 #pragma once
 
 #include <string>

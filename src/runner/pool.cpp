@@ -65,24 +65,6 @@ void Pool::wait() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-std::size_t Pool::cancel_pending() {
-  std::deque<Item> dropped;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    dropped.swap(queue_);
-    if (active_ == 0) idle_cv_.notify_all();
-  }
-  // Destroy the dropped closures outside the lock: they may own heavy
-  // captures (buffers, shared_ptrs) whose destructors should not stall
-  // submitters or workers.
-  return dropped.size();
-}
-
-std::size_t Pool::pending() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 int Pool::resolve_workers(int requested) {
   if (requested > 0) return requested;
   if (requested < 0) return 1;

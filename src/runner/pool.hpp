@@ -5,10 +5,7 @@
 //
 // Shutdown semantics: the destructor DRAINS — every task submitted
 // before destruction runs to completion before the threads join (no task
-// loss, no deadlock, even with a deep queue). Callers that want to abort
-// instead (e.g. a daemon told to stop hard) call cancel_pending() first,
-// which discards tasks that have not started; in-flight tasks always
-// finish either way.
+// loss, no deadlock, even with a deep queue).
 //
 // When the telemetry registry is enabled the pool reports queue-wait and
 // task-latency histograms, worker busy time, and a jobs-in-flight gauge,
@@ -36,24 +33,12 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  int workers() const { return int(threads_.size()); }
-
   /// Enqueue a task. Tasks that throw terminate the process (std::thread
   /// noexcept boundary) — wrap fallible work before submitting.
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished executing.
   void wait();
-
-  /// Discard every task still waiting in the queue (none of them will
-  /// run) and return how many were dropped. In-flight tasks are
-  /// unaffected — follow with wait() (or the destructor) to quiesce.
-  /// This is the abort half of the drain/cancel distinction: the
-  /// destructor alone finishes all queued work.
-  std::size_t cancel_pending();
-
-  /// Tasks submitted but not yet picked up by a worker (point-in-time).
-  std::size_t pending() const;
 
   /// Pick a worker count: `requested` if > 0, the hardware concurrency
   /// (at least 1) for 0, and 1 for a negative request.
@@ -69,7 +54,7 @@ class Pool {
 
   void worker_loop(int index);
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for tasks
   std::condition_variable idle_cv_;   // wait() waits for drain
   std::deque<Item> queue_;

@@ -2,9 +2,8 @@
 // scheduler (pool.hpp), a content-addressed design cache
 // (design_cache.hpp), the batch API with deterministic per-job seeding
 // (job.hpp, batch.hpp), the per-job event line (job_event.hpp),
-// JSON/CSV reporting (report.hpp), the sweep manifest format behind the
-// `hlsprof-run` CLI (manifest.hpp), and the multi-process shard
-// coordinator (shard.hpp).
+// JSON/CSV reporting (report.hpp) and the sweep manifest format behind
+// the `hlsprof-run` CLI (manifest.hpp).
 //
 //   runner::Batch batch;
 //   for (int threads : {1, 2, 4, 8, 16}) {
@@ -29,4 +28,3 @@
 #include "runner/manifest.hpp"
 #include "runner/pool.hpp"
 #include "runner/report.hpp"
-#include "runner/shard.hpp"

@@ -1,6 +1,5 @@
 #include "telemetry/export.hpp"
 
-#include <algorithm>
 #include <fstream>
 
 #include "common/build_info.hpp"
@@ -166,9 +165,8 @@ std::string summary_text(const Snapshot& s) {
     return g != nullptr ? g->value : 0.0;
   };
   std::string out;
-  out += strf("telemetry: compile %lld runs (%.1f ms total), verilog %lld\n",
-              cval("hls.compiles"), double(cval("hls.compile_us")) / 1e3,
-              cval("hls.verilog_emits"));
+  out += strf("telemetry: compile %lld runs (%.1f ms total)\n",
+              cval("hls.compiles"), double(cval("hls.compile_us")) / 1e3);
   out += strf("telemetry: sim %lld runs, %s cycles, %.0f cycles/s\n",
               cval("sim.runs"),
               with_commas((unsigned long long)cval("sim.cycles")).c_str(),
@@ -194,177 +192,6 @@ void write_text_file(const std::string& path, const std::string& text) {
   if (!f.good()) fail("cannot write " + path);
   f << text;
   if (!f.good()) fail("error writing " + path);
-}
-
-namespace {
-
-/// Re-emit a parsed JSON value verbatim (integers stay integers).
-void emit_value(JsonWriter& w, const JsonValue& v) {
-  switch (v.kind()) {
-    case JsonValue::Kind::null:
-      w.null();
-      return;
-    case JsonValue::Kind::boolean:
-      w.value(v.as_bool());
-      return;
-    case JsonValue::Kind::string:
-      w.value(v.as_string());
-      return;
-    case JsonValue::Kind::number:
-      try {
-        w.value(v.as_int64());
-      } catch (const std::exception&) {
-        try {
-          w.value(v.as_uint64());
-        } catch (const std::exception&) {
-          w.value(v.as_double());
-        }
-      }
-      return;
-    case JsonValue::Kind::array:
-      w.begin_array();
-      for (const JsonValue& item : v.items()) emit_value(w, item);
-      w.end_array();
-      return;
-    case JsonValue::Kind::object:
-      w.begin_object();
-      for (const auto& [k, member] : v.members()) {
-        w.key(k);
-        emit_value(w, member);
-      }
-      w.end_object();
-      return;
-  }
-}
-
-}  // namespace
-
-std::string merge_chrome_traces(const std::vector<ChromeTraceInput>& inputs) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  int pid = 0;
-  for (const ChromeTraceInput& in : inputs) {
-    if (in.json_text.empty()) continue;
-    JsonValue doc;
-    try {
-      doc = json_parse(in.json_text);
-    } catch (const std::exception&) {
-      continue;  // a dead shard's torn file must not poison the fleet trace
-    }
-    const JsonValue* events = doc.find("traceEvents");
-    if (events == nullptr || !events->is_array()) continue;
-    ++pid;
-    // Name the process row after the input so every shard's tracks are
-    // distinctly namespaced in the Perfetto UI.
-    w.begin_object();
-    w.field("name", "process_name");
-    w.field("ph", "M");
-    w.field("pid", pid);
-    w.key("args").begin_object();
-    w.field("name", in.label);
-    w.end_object();
-    w.end_object();
-    for (const JsonValue& ev : events->items()) {
-      if (!ev.is_object()) continue;
-      w.begin_object();
-      bool saw_pid = false;
-      for (const auto& [k, member] : ev.members()) {
-        if (k == "pid") {
-          w.field("pid", pid);
-          saw_pid = true;
-          continue;
-        }
-        if (k == "ts" && member.is_number()) {
-          w.field("ts", member.as_double() + double(in.ts_offset_us));
-          continue;
-        }
-        w.key(k);
-        emit_value(w, member);
-      }
-      if (!saw_pid) w.field("pid", pid);
-      w.end_object();
-    }
-  }
-  w.end_array();
-  w.field("displayTimeUnit", "ms");
-  w.key("otherData").begin_object();
-  w.field("version", build_info().version);
-  w.field("merged_inputs", pid);
-  w.end_object();
-  w.end_object();
-  return w.str();
-}
-
-std::string metrics_table(const std::string& snapshot_json_text) {
-  const JsonValue doc = json_parse(snapshot_json_text);
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "hlsprof-telemetry") {
-    fail("metrics_table: not an hlsprof-telemetry snapshot");
-  }
-
-  struct Row {
-    std::string name;
-    std::string value;
-  };
-  std::vector<Row> rows;
-  std::size_t name_w = 0;
-  const auto add = [&rows, &name_w](std::string name, std::string value) {
-    name_w = std::max(name_w, name.size());
-    rows.push_back(Row{std::move(name), std::move(value)});
-  };
-  const auto unit_of = [](const JsonValue& v) -> std::string {
-    const JsonValue* u = v.find("unit");
-    return u != nullptr && u->is_string() ? " " + u->as_string()
-                                          : std::string();
-  };
-
-  if (const JsonValue* counters = doc.find("counters")) {
-    for (const auto& [name, c] : counters->members()) {
-      const JsonValue* v = c.find("value");
-      if (v == nullptr) continue;
-      add(name, strf("%lld%s", static_cast<long long>(v->as_int64()),
-                     unit_of(c).c_str()));
-    }
-  }
-  if (const JsonValue* gauges = doc.find("gauges")) {
-    for (const auto& [name, g] : gauges->members()) {
-      const JsonValue* v = g.find("value");
-      if (v == nullptr) continue;
-      add(name, strf("%g%s", v->as_double(), unit_of(g).c_str()));
-    }
-  }
-  if (const JsonValue* hists = doc.find("histograms")) {
-    for (const auto& [name, h] : hists->members()) {
-      const JsonValue* count = h.find("count");
-      const JsonValue* sum = h.find("sum");
-      if (count == nullptr || sum == nullptr) continue;
-      add(name, strf("count %lld, sum %g%s",
-                     static_cast<long long>(count->as_int64()),
-                     sum->as_double(), unit_of(h).c_str()));
-    }
-  }
-  for (const char* section : {"spans", "samples"}) {
-    if (const JsonValue* s = doc.find(section)) {
-      const JsonValue* rec = s->find("recorded");
-      const JsonValue* drop = s->find("dropped");
-      if (rec == nullptr || drop == nullptr) continue;
-      add(section, strf("recorded %lld, dropped %lld",
-                        static_cast<long long>(rec->as_int64()),
-                        static_cast<long long>(drop->as_int64())));
-    }
-  }
-
-  std::string out;
-  for (const Row& r : rows) {
-    out += "  " + r.name;
-    out.append(name_w + 2 - r.name.size(), ' ');
-    out += r.value;
-    out += "\n";
-  }
-  if (rows.empty()) out = "  (no metrics)\n";
-  return out;
 }
 
 }  // namespace hlsprof::telemetry

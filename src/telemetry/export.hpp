@@ -4,9 +4,7 @@
 // sidecar formats — they never touch the canonical batch-report bytes.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "telemetry/telemetry.hpp"
 
@@ -31,31 +29,5 @@ std::string summary_text(const Snapshot& s);
 
 /// Write `text` to `path` (truncating). Throws hlsprof::Error on failure.
 void write_text_file(const std::string& path, const std::string& text);
-
-/// One input document to merge_chrome_traces.
-struct ChromeTraceInput {
-  /// Track namespace: becomes the merged document's process name for
-  /// every event of this input (e.g. "shard-0", "coordinator").
-  std::string label;
-  /// A chrome_trace_json document (or any Chrome trace-event JSON with a
-  /// traceEvents array).
-  std::string json_text;
-  /// Added to every event timestamp — rebases this input's clock origin
-  /// onto the merged timeline (µs).
-  std::uint64_t ts_offset_us = 0;
-};
-
-/// Merge several Chrome trace documents into ONE Perfetto-loadable file:
-/// input k's events keep their tids but move to pid k (a distinct
-/// process row per input, named by a process_name metadata event), and
-/// every "ts" is shifted by the input's offset. Empty or unparseable
-/// inputs are skipped — a dead shard never poisons the fleet trace.
-std::string merge_chrome_traces(const std::vector<ChromeTraceInput>& inputs);
-
-/// Human-readable aligned table of a snapshot_json document: one row per
-/// counter / gauge / histogram plus span and sample bookkeeping. Throws
-/// hlsprof::Error if `snapshot_json_text` is not an hlsprof-telemetry
-/// snapshot.
-std::string metrics_table(const std::string& snapshot_json_text);
 
 }  // namespace hlsprof::telemetry

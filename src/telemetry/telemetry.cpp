@@ -200,7 +200,7 @@ void Registry::record_sample(int gauge_index, std::uint64_t ts_us,
   samples_.push_back(SampleView{gauge_index, ts_us, value});
 }
 
-Snapshot Registry::snapshot(bool include_events) const {
+Snapshot Registry::snapshot() const {
   Snapshot s;
   s.enabled = enabled();
   std::lock_guard<std::mutex> lock(mu_);
@@ -227,10 +227,8 @@ Snapshot Registry::snapshot(bool include_events) const {
   std::sort(s.gauges.begin(), s.gauges.end(), by_name);
   std::sort(s.histograms.begin(), s.histograms.end(), by_name);
   s.tracks = tracks_;
-  if (include_events) {
-    s.spans = spans_;
-    s.samples = samples_;
-  }
+  s.spans = spans_;
+  s.samples = samples_;
   s.spans_dropped = spans_dropped_;
   s.samples_dropped = samples_dropped_;
   return s;
@@ -251,65 +249,6 @@ void Registry::reset_values() {
   samples_.clear();
   spans_dropped_ = 0;
   samples_dropped_ = 0;
-}
-
-Snapshot snapshot_delta(const Snapshot& before, const Snapshot& after) {
-  Snapshot d;
-  d.enabled = after.enabled;
-
-  // Name-sorted views: walk `after` and subtract the matching `before`
-  // entry when present (registrations only grow, so `after` is a
-  // superset).
-  const auto find_counter = [&](const std::string& name) -> long long {
-    for (const auto& c : before.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
-  };
-  d.counters.reserve(after.counters.size());
-  for (const auto& c : after.counters) {
-    d.counters.push_back(
-        CounterView{c.name, c.unit, c.value - find_counter(c.name)});
-  }
-
-  d.gauges = after.gauges;  // levels: the current value is the answer
-
-  const auto find_hist = [&](const std::string& name) -> const HistogramView* {
-    for (const auto& h : before.histograms) {
-      if (h.name == name) return &h;
-    }
-    return nullptr;
-  };
-  d.histograms.reserve(after.histograms.size());
-  for (const auto& h : after.histograms) {
-    HistogramView out = h;
-    if (const HistogramView* b = find_hist(h.name);
-        b != nullptr && b->buckets.size() == h.buckets.size()) {
-      for (std::size_t i = 0; i < out.buckets.size(); ++i) {
-        out.buckets[i] -= b->buckets[i];
-      }
-      out.count -= b->count;
-      out.sum -= b->sum;
-    }
-    d.histograms.push_back(std::move(out));
-  }
-
-  d.tracks = after.tracks;
-  d.gauge_names = after.gauge_names;
-  // Bounded buffers only append (until reset), so the new activity is the
-  // suffix past `before`'s length.
-  const std::size_t span_base =
-      before.spans.size() <= after.spans.size() ? before.spans.size() : 0;
-  d.spans.assign(after.spans.begin() + std::ptrdiff_t(span_base),
-                 after.spans.end());
-  const std::size_t sample_base =
-      before.samples.size() <= after.samples.size() ? before.samples.size()
-                                                    : 0;
-  d.samples.assign(after.samples.begin() + std::ptrdiff_t(sample_base),
-                   after.samples.end());
-  d.spans_dropped = after.spans_dropped - before.spans_dropped;
-  d.samples_dropped = after.samples_dropped - before.samples_dropped;
-  return d;
 }
 
 }  // namespace hlsprof::telemetry

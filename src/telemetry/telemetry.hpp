@@ -159,18 +159,6 @@ struct Snapshot {
   long long samples_dropped = 0;
 };
 
-/// What happened between two snapshots of the SAME registry: counters,
-/// histogram buckets/counts/sums, and drop counts subtract; gauges keep
-/// `after`'s value (they are levels, not totals); spans and samples are
-/// the suffix recorded after `before` was taken. Metrics registered only
-/// after `before` delta against zero. The result is a valid Snapshot, so
-/// the exporters accept it unchanged — this is how a long-lived daemon
-/// reports per-request metrics without resetting process-wide state.
-/// Precondition: `before` was taken no later than `after` (same registry);
-/// histogram bucket layouts are matched by name and first-registration
-/// bounds.
-Snapshot snapshot_delta(const Snapshot& before, const Snapshot& after);
-
 class Registry {
  public:
   Registry();
@@ -215,14 +203,11 @@ class Registry {
   /// Internal hook for Gauge sampling (bounded like spans).
   void record_sample(int gauge_index, std::uint64_t ts_us, double value);
 
-  /// Deep copy of current state (metrics, spans, samples, tracks). With
-  /// `include_events` false, spans and samples are left out (tracks and
-  /// drop counts are still reported) — the cheap form a serving daemon
-  /// takes around every request for per-request metric deltas.
-  Snapshot snapshot(bool include_events = true) const;
+  /// Deep copy of current state (metrics, spans, samples, tracks).
+  Snapshot snapshot() const;
 
   /// Zero all metric values and drop spans/samples; registrations, track
-  /// ids, and the enabled flag survive. For tests and long-lived daemons.
+  /// ids, and the enabled flag survive. For tests.
   void reset_values();
 
  private:

@@ -437,9 +437,9 @@ TEST(Json, AccessorsEnforceKinds) {
 }
 
 TEST(Json, Uint64AboveInt64MaxRoundTripsExactly) {
-  // Batch seeds are full-range uint64 and the shard coordinator parses
-  // them back out of report JSON — values above int64::max must survive
-  // a write/parse cycle bit-exact, not through a double.
+  // Batch seeds are full-range uint64 and reports carry them as JSON
+  // integers — values above int64::max must survive a write/parse cycle
+  // bit-exact, not through a double.
   const std::uint64_t big = 12345678901234567890ull;  // > int64::max
   JsonWriter w;
   w.begin_object();

@@ -260,8 +260,9 @@ TEST(RunnerDiskCache, OpenRemovesStaleTempFilesButSparesFreshOnes) {
   const std::string stale = dir + "/.tmp-deadbeef-1-0";
   spit(stale, "half-written entry");
   age_file(stale, 3600);  // a crashed writer's leftover is old by now
-  // A fresh temp file may be a sibling shard child mid-write: deleting
-  // it would make that writer's publish rename silently fail.
+  // A fresh temp file may be another process's write in progress on the
+  // shared --cache-dir: deleting it would make that writer's publish
+  // rename silently fail.
   const std::string fresh = dir + "/.tmp-cafef00d-2-0";
   spit(fresh, "sibling writing right now");
   const std::string foreign = dir + "/README.txt";
@@ -306,8 +307,8 @@ TEST(RunnerDiskCache, OpenEvictsLeastRecentlyUsedOverCap) {
 }
 
 TEST(RunnerDiskCache, SteadyStateStoresStayUnderCapWithoutReopen) {
-  // A long-lived daemon never reopens its store, so the cap must hold
-  // across store() calls, not just at open. Measure one entry first to
+  // A process that keeps writing never reopens its store, so the cap must
+  // hold across store() calls, not just at open. Measure one entry first to
   // size a cap with room for roughly two.
   const std::string probe_dir = fresh_dir("steady-probe");
   runner::DiskDesignStore probe({probe_dir, 0});

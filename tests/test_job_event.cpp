@@ -1,23 +1,21 @@
 // Tests for the job event (src/runner/job_event): the one line that
-// announces a finished job on `hlsprof-run --progress`, a shard child's
-// pipe and the daemon's watch stream. It must round-trip exactly, carry
-// the job's exact trace totals, survive any truncation or single-byte
-// mutation without crashing or yielding an invalid event, and come out
-// the same from `hlsprof-run --progress` and `hlsprof-serve --watch`.
+// announces a finished job on `hlsprof-run --progress`. Its bytes are
+// pinned, it must read back exactly through json_parse, carry the job's
+// exact trace totals, and agree with the report of the same run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "runner/runner.hpp"
-#include "serve/server.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
 
@@ -40,40 +38,30 @@ runner::JobEvent sample_event() {
   return e;
 }
 
-void expect_same(const runner::JobEvent& a, const runner::JobEvent& b) {
-  EXPECT_EQ(a.index, b.index);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.name, b.name);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.threads, b.threads);
-  EXPECT_EQ(a.state_cycles, b.state_cycles);
-  EXPECT_EQ(a.bytes, b.bytes);
-  EXPECT_EQ(a.jobs, b.jobs);
-}
-
 TEST(JobEvent, FormatsAndParsesExactly) {
   const runner::JobEvent e = sample_event();
   const std::string line = runner::format_job_event(e);
-  EXPECT_EQ(line.rfind("{\"event\":\"job\"", 0), 0u) << line;
-  runner::JobEvent back;
-  ASSERT_TRUE(runner::parse_job_event(line, &back));
-  expect_same(back, e);
-  EXPECT_EQ(back.done, e.done);
-  // The daemon's copy adds only the request id, and parses the same.
-  const std::string with_id = runner::format_job_event(e, 42);
-  EXPECT_EQ(with_id.rfind("{\"id\":42,\"event\":\"job\"", 0), 0u) << with_id;
-  runner::JobEvent from_daemon;
-  ASSERT_TRUE(runner::parse_job_event(with_id, &from_daemon));
-  expect_same(from_daemon, e);
-  // Not events: untouched output.
-  runner::JobEvent untouched = e;
-  EXPECT_FALSE(runner::parse_job_event("plain chatter", &untouched));
-  EXPECT_FALSE(runner::parse_job_event(R"({"id":7,"ok":true})", &untouched));
-  EXPECT_FALSE(runner::parse_job_event(
-      R"({"event":"job","index":1,"status":"lost","name":"x","cycles":1,)"
-      R"("threads":1,"state_cycles":[0,0,0,0],"bytes":0,"done":1,"jobs":1})",
-      &untouched));
-  expect_same(untouched, e);
+  // The --progress line, byte for byte.
+  EXPECT_EQ(line,
+            R"({"event":"job","index":7,"status":"failed",)"
+            R"("name":"gemm dim=48, \"blocked\"\tv5","cycles":123456789012,)"
+            R"("threads":8,"state_cycles":[1,900000000000,0,)"
+            R"(18446744073709551615],"bytes":4096000,"done":3,"jobs":16})");
+  // Every field reads back exactly, full-range integers included.
+  const JsonValue v = json_parse(line);
+  EXPECT_EQ(v.find("index")->as_int64(), e.index);
+  EXPECT_EQ(v.find("status")->as_string(), "failed");
+  EXPECT_EQ(v.find("name")->as_string(), e.name);
+  EXPECT_EQ(v.find("cycles")->as_uint64(), e.cycles);
+  EXPECT_EQ(v.find("threads")->as_int64(), e.threads);
+  const std::vector<JsonValue>& states = v.find("state_cycles")->items();
+  ASSERT_EQ(states.size(), e.state_cycles.size());
+  for (std::size_t s = 0; s < states.size(); ++s) {
+    EXPECT_EQ(states[s].as_uint64(), e.state_cycles[s]);
+  }
+  EXPECT_EQ(v.find("bytes")->as_uint64(), e.bytes);
+  EXPECT_EQ(v.find("done")->as_uint64(), e.done);
+  EXPECT_EQ(v.find("jobs")->as_uint64(), e.jobs);
 }
 
 runner::JobSpec vecadd_job(std::int64_t n) {
@@ -127,38 +115,7 @@ TEST(JobEvent, CarriesJobMetrics) {
   }
 }
 
-bool valid(const runner::JobEvent& e) {
-  return e.index >= 0 && e.threads >= 0 && e.threads <= 64 && e.done >= 1 &&
-         e.done <= e.jobs;
-}
-
-TEST(JobEventFuzz, TruncationsAndByteMutationsNeverYieldInvalidEvents) {
-  // The line arrives from another process (a shard child, a daemon), so
-  // it is untrusted: every damaged form must fail cleanly or still be a
-  // valid event.
-  const std::string line = runner::format_job_event(sample_event(), 9);
-  int parsed = 0;
-  for (std::size_t n = 0; n < line.size(); ++n) {
-    runner::JobEvent e;
-    if (runner::parse_job_event(line.substr(0, n), &e)) {
-      ++parsed;
-      EXPECT_TRUE(valid(e)) << line.substr(0, n);
-    }
-  }
-  EXPECT_EQ(parsed, 0) << "a truncated object is never complete JSON";
-  for (std::size_t pos = 0; pos < line.size(); ++pos) {
-    for (int byte = 0; byte < 256; ++byte) {
-      std::string mutated = line;
-      mutated[pos] = char(byte);
-      runner::JobEvent e;
-      if (runner::parse_job_event(mutated, &e)) {
-        EXPECT_TRUE(valid(e)) << mutated;
-      }
-    }
-  }
-}
-
-// ---- the same events from hlsprof-run and hlsprof-serve --------------------
+// ---- hlsprof-run --progress against its own report ------------------------
 
 std::string run_command(const std::string& cmd) {
   std::FILE* p = ::popen(cmd.c_str(), "r");
@@ -172,23 +129,13 @@ std::string run_command(const std::string& cmd) {
   return out;
 }
 
-std::map<int, runner::JobEvent> parse_stream(const std::string& text) {
-  std::map<int, runner::JobEvent> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    runner::JobEvent e;
-    const std::string line = text.substr(pos, nl - pos);
-    EXPECT_TRUE(runner::parse_job_event(line, &e)) << line;
-    EXPECT_TRUE(out.emplace(e.index, e).second) << "index twice: " << line;
-    pos = nl + 1;
-  }
-  return out;
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-TEST(JobEventE2E, RunProgressAndServeWatchAgree) {
-  const fs::path dir = fs::path("/tmp") / "hlsprof_job_event_e2e";
+TEST(JobEventE2E, RunProgressMatchesReport) {
+  const fs::path dir = fs::path(testing::TempDir()) / "hlsprof_job_event_e2e";
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string manifest = (dir / "sweep.manifest").string();
@@ -198,30 +145,41 @@ TEST(JobEventE2E, RunProgressAndServeWatchAgree) {
                              "workers = 2\n"
                              "label = job-event-e2e\n";
 
-  const std::string from_run = run_command(
+  const std::string progress = run_command(
       std::string(HLSPROF_RUN_BIN) + " " + manifest +
-      " --canonical --quiet --progress");
+      " --canonical --quiet --progress --out=" + (dir / "report").string());
+  const JsonValue report = json_parse(slurp(dir / "report.json"));
+  const std::vector<JsonValue>& jobs = report.find("jobs")->items();
+  ASSERT_EQ(jobs.size(), 3u);
 
-  serve::ServerOptions options;
-  options.socket_path = (dir / "d.sock").string();
-  options.workers = 2;
-  serve::Server server(options);
-  std::thread serving([&] { server.serve(); });
-  // Events go to stderr; the report (stdout) is dropped.
-  const std::string from_serve = run_command(
-      std::string(HLSPROF_SERVE_BIN) + " --socket=" + options.socket_path +
-      " --submit=" + manifest + " --watch --quiet 2>&1 >/dev/null");
-  server.request_drain();
-  serving.join();
-
-  const auto run_events = parse_stream(from_run);
-  const auto serve_events = parse_stream(from_serve);
-  ASSERT_EQ(run_events.size(), 3u) << from_run;
-  ASSERT_EQ(serve_events.size(), 3u) << from_serve;
-  for (const auto& [index, e] : run_events) {
+  // One event line per job, in completion order.
+  std::map<std::int64_t, JsonValue> events;
+  std::vector<std::uint64_t> done;
+  std::size_t pos = 0;
+  while (pos < progress.size()) {
+    std::size_t nl = progress.find('\n', pos);
+    if (nl == std::string::npos) nl = progress.size();
+    const JsonValue e = json_parse(progress.substr(pos, nl - pos));
+    EXPECT_EQ(e.find("event")->as_string(), "job");
+    EXPECT_EQ(e.find("jobs")->as_uint64(), jobs.size());
+    done.push_back(e.find("done")->as_uint64());
+    const std::int64_t index = e.find("index")->as_int64();
+    EXPECT_TRUE(events.emplace(index, e).second) << "index twice: " << index;
+    pos = nl + 1;
+  }
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{1, 2, 3}));
+  ASSERT_EQ(events.size(), jobs.size()) << progress;
+  for (const JsonValue& job : jobs) {
+    const std::int64_t index = job.find("index")->as_int64();
     SCOPED_TRACE(index);
-    expect_same(serve_events.at(index), e);
-    EXPECT_GT(e.state_cycles[1], 0u);
+    const JsonValue& e = events.at(index);
+    EXPECT_EQ(e.find("name")->as_string(), job.find("name")->as_string());
+    EXPECT_EQ(e.find("status")->as_string(), job.find("status")->as_string());
+    EXPECT_EQ(e.find("cycles")->as_uint64(),
+              job.find("run")->find("total_cycles")->as_uint64());
+    EXPECT_EQ(e.find("threads")->as_int64(),
+              job.find("design")->find("num_threads")->as_int64());
+    EXPECT_GT(e.find("state_cycles")->items().at(1).as_uint64(), 0u);
   }
   fs::remove_all(dir);
 }

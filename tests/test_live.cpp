@@ -1,9 +1,8 @@
 // Tests for the live observability layer (src/live): the timeline view
 // reads the canonical TimedTraceBuilder between flush bursts and must
-// compact to fit and bucket every cycle once, the batch and fleet views
-// fold job events (a job re-announced by a second shard counts once),
-// and attaching any of it must leave canonical report and Paraver bytes
-// untouched.
+// compact to fit and bucket every cycle once, the batch view folds job
+// events, and attaching any of it must leave canonical report and
+// Paraver bytes untouched.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,13 +12,11 @@
 
 #include "common/argparse.hpp"
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "core/hlsprof.hpp"
 #include "live/reporter.hpp"
 #include "live/timeline.hpp"
 #include "paraver/writer.hpp"
 #include "runner/runner.hpp"
-#include "telemetry/export.hpp"
 #include "trace/timed_trace.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
@@ -239,78 +236,6 @@ TEST(LiveReporter, ObserverKeepsReportBytesIdenticalAndFoldsTotals) {
   std::fclose(display);
   EXPECT_NE(text.find("vecadd.n"), std::string::npos);
   EXPECT_NE(text.find("legend:"), std::string::npos);
-}
-
-// ---- fleet view ------------------------------------------------------------
-
-TEST(LiveFleet, AggregatesShardLanes) {
-  live::FleetView fleet(4, live::FleetOptions{});
-  fleet.update(0, event(0, 100, {400, 400, 0, 0}, 0));
-  fleet.update(1, event(1, 100, {400, 400, 0, 0}, 0));
-  const live::JobTotals m = fleet.merged();
-  EXPECT_EQ(m.done, 2u);
-  EXPECT_EQ(m.jobs, 4u);
-  EXPECT_EQ(m.cycles, 200u);
-  EXPECT_DOUBLE_EQ(m.share(1), 0.5);
-  const std::string frame = fleet.render_frame();
-  EXPECT_NE(frame.find("shard 0"), std::string::npos);
-  EXPECT_NE(frame.find("shard 1"), std::string::npos);
-  EXPECT_NE(frame.find("fleet"), std::string::npos);
-  // A re-dispatched shard (id beyond the initial split) gets a lane too.
-  fleet.update(4, event(2, 100, {400, 400, 0, 0}, 0));
-  EXPECT_EQ(fleet.merged().done, 3u);
-  EXPECT_NE(fleet.render_frame().find("shard 4"), std::string::npos);
-}
-
-// ---- merged chrome traces --------------------------------------------------
-
-TEST(LiveChromeMerge, NamespacesAndRebasesInputs) {
-  const std::string doc_a =
-      R"({"traceEvents":[{"name":"a","ph":"X","ts":10,"dur":5,"pid":1,"tid":0}]})";
-  const std::string doc_b =
-      R"({"traceEvents":[{"name":"b","ph":"X","ts":1,"dur":2,"tid":3}]})";
-  const std::string merged = telemetry::merge_chrome_traces({
-      {"coordinator", doc_a, 0},
-      {"shard-0", doc_b, 100},
-      {"shard-1", "", 0},           // dead shard: skipped
-      {"shard-2", "not json", 0},   // torn file: skipped
-  });
-  const JsonValue v = json_parse(merged);
-  const JsonValue* events = v.find("traceEvents");
-  ASSERT_NE(events, nullptr);
-  int process_names = 0;
-  for (const JsonValue& e : events->items()) {
-    const JsonValue* name = e.find("name");
-    if (name != nullptr && name->as_string() == "process_name") {
-      ++process_names;
-      const std::string label = e.find("args")->find("name")->as_string();
-      EXPECT_TRUE(label == "coordinator" || label == "shard-0");
-    }
-    if (name != nullptr && name->as_string() == "b") {
-      EXPECT_EQ(e.find("ts")->as_double(), 101.0);  // 1 + offset 100
-      EXPECT_EQ(e.find("pid")->as_int64(), 2);      // second surviving input
-    }
-  }
-  EXPECT_EQ(process_names, 2);
-  EXPECT_EQ(v.find("otherData")->find("merged_inputs")->as_int64(), 2);
-}
-
-// ---- metrics table ---------------------------------------------------------
-
-TEST(LiveMetricsTable, FormatsSnapshotRows) {
-  const std::string snap =
-      R"({"schema":"hlsprof-telemetry","schema_version":1,)"
-      R"("counters":{"sim.runs":{"value":3},"sim.cycles":{"value":99,"unit":"cycles"}},)"
-      R"("gauges":{"sim.cycles_per_sec":{"value":1.5e6}},)"
-      R"("histograms":{"serve.request_ms":{"count":2,"sum":8.5,"unit":"ms"}},)"
-      R"("spans":{"recorded":4,"dropped":0},"samples":{"recorded":1,"dropped":2}})";
-  const std::string table = telemetry::metrics_table(snap);
-  EXPECT_NE(table.find("sim.runs"), std::string::npos);
-  EXPECT_NE(table.find("99 cycles"), std::string::npos);
-  EXPECT_NE(table.find("count 2, sum 8.5 ms"), std::string::npos);
-  EXPECT_NE(table.find("recorded 1, dropped 2"), std::string::npos);
-  // Aligned: every row's value starts at the same column.
-  EXPECT_THROW(telemetry::metrics_table("{\"schema\":\"other\"}"), Error);
 }
 
 // ---- argparse --------------------------------------------------------------

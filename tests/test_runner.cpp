@@ -6,15 +6,13 @@
 #include <sys/wait.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -406,8 +404,7 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
   // Out-of-range values and unknown flags are usage errors that name the
   // flag.
   for (const std::string flag :
-       {"--workers=-2", "--shards=0", "--shards=-2", "--seed=-5",
-        "--cache-max-bytes=-5", "--connect=x"}) {
+       {"--workers=-2", "--seed=-5", "--cache-max-bytes=-5", "--connect=x"}) {
     std::FILE* p = ::popen((run + flag + " 2>&1").c_str(), "r");
     ASSERT_NE(p, nullptr);
     std::string out(4096, '\0');
@@ -421,7 +418,7 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
         << flag << ": " << out;
   }
   EXPECT_EQ(exit_status(run + "--workers=1"), 0);
-  EXPECT_EQ(exit_status(run + "--shards=1 --seed=0"), 0);
+  EXPECT_EQ(exit_status(run + "--seed=0"), 0);
 }
 
 /// Contents of a whole file ("" if it cannot be read).
@@ -484,24 +481,29 @@ TEST(RunnerCli, ReportsParseAndTelemetryLeavesCanonicalBytesAlone) {
   EXPECT_NE(exit_status(std::string(HLSPROF_RUN_BIN) + " --bogus"), 0);
 }
 
-TEST(RunnerCli, ServeNegativeWorkersIsAUsageError) {
-  // Rejected before any socket is opened. Out-of-range values and the
-  // retired admission flags are usage errors that name the flag.
-  const std::string serve = std::string(HLSPROF_SERVE_BIN) +
-                            " --socket=/tmp/hlsprof_never.sock --quiet ";
-  for (const std::string flag :
-       {"--workers=-1", "--cache-max-bytes=-5", "--queue-capacity=-1",
-        "--dispatchers=0", "--dispatchers=-3", "--client-quota=4",
-        "--priority=1"}) {
-    std::FILE* p = ::popen((serve + flag + " 2>&1").c_str(), "r");
-    ASSERT_NE(p, nullptr);
-    std::string out(4096, '\0');
-    out.resize(std::fread(out.data(), 1, out.size(), p));
-    const int raw = ::pclose(p);
-    EXPECT_EQ(WIFEXITED(raw) ? WEXITSTATUS(raw) : -1, 2) << flag;
-    const std::string name = flag.substr(0, flag.find('='));
-    EXPECT_NE(out.substr(0, out.find('\n')).find(name), std::string::npos)
-        << flag << ": " << out;
+TEST(RunnerCli, ApproxTraceStaysWithinHalfPercentOfExact) {
+  // The approx tier's tolerance contract (docs/PERF.md) end to end: every
+  // job's total_cycles within 0.5 % of the exact run's.
+  const std::string run =
+      std::string(HLSPROF_RUN_BIN) + " " + HLSPROF_MANIFEST_DIR +
+      "/gemm_threads.manifest --workers=2 --json --canonical --quiet --out=" +
+      (std::filesystem::path(testing::TempDir()) / "hlsprof_approx_").string();
+  const JsonValue exact = json_parse(command_stdout(run + "exact"));
+  const JsonValue approx =
+      json_parse(command_stdout(run + "approx --approx-trace"));
+  const std::vector<JsonValue>& exact_jobs = exact.find("jobs")->items();
+  const std::vector<JsonValue>& approx_jobs = approx.find("jobs")->items();
+  ASSERT_EQ(exact_jobs.size(), 5u);
+  ASSERT_EQ(approx_jobs.size(), exact_jobs.size());
+  for (std::size_t i = 0; i < exact_jobs.size(); ++i) {
+    const std::string name = exact_jobs[i].find("name")->as_string();
+    EXPECT_EQ(approx_jobs[i].find("name")->as_string(), name);
+    const auto cycles = [](const JsonValue& job) {
+      return double(job.find("run")->find("total_cycles")->as_uint64());
+    };
+    const double want = cycles(exact_jobs[i]);
+    ASSERT_GT(want, 0.0) << name;
+    EXPECT_LE(std::abs(cycles(approx_jobs[i]) - want) / want, 0.005) << name;
   }
 }
 
@@ -562,13 +564,70 @@ TEST(RunnerManifest, ErrorsNameTheLineAndOffendingKey) {
   EXPECT_NE(msg.find("'workers'"), std::string::npos) << msg;
   EXPECT_NE(msg.find("2, 4"), std::string::npos) << msg;
 
+  // Out-of-range integers fail on their line instead of being narrowed:
+  // 2^32 + 8 would run as dim 8, and -1 as a 2^64 - 1 sampling period.
+  msg = manifest_error("workload = gemm\ndim = 4294967304\n");
+  EXPECT_NE(msg.find("manifest:2: key 'dim': must be <= 2147483647"),
+            std::string::npos)
+      << msg;
+  msg = manifest_error("workload = pi\nsampling_period = 1024, -1\n");
+  EXPECT_NE(msg.find("manifest:2: key 'sampling_period': must be >= 1"),
+            std::string::npos)
+      << msg;
+  msg = manifest_error("workload = pi\n\nseed = -5\n");
+  EXPECT_NE(msg.find("manifest:3: key 'seed': must be >= 0"),
+            std::string::npos)
+      << msg;
+  // The kernel holds `steps` in 32 bits: 2^32 + 16 would run as 16 steps.
+  msg = manifest_error("workload = pi\nsteps = 4294967312\n");
+  EXPECT_NE(msg.find("manifest:2: key 'steps': must be <= 2147483647"),
+            std::string::npos)
+      << msg;
+  msg = manifest_error("workload = gemm\nthreads = 4,0\n");
+  EXPECT_NE(msg.find("manifest:2: key 'threads': must be >= 1"),
+            std::string::npos)
+      << msg;
+  // The bounds themselves parse.
+  const runner::ManifestRun edge =
+      runner::parse_manifest("workload = gemm\ndim = 2147483647\nseed = 0\n");
+  EXPECT_EQ(edge.batch.size(), 1u);
+  EXPECT_EQ(edge.options.seed, 0u);
+
   // Unknown workload lists the supported ones.
   msg = manifest_error("workload = starship\n");
   EXPECT_NE(msg.find("\"starship\""), std::string::npos) << msg;
   EXPECT_NE(msg.find("gemm, pi, vecadd, dot"), std::string::npos) << msg;
 }
 
-// ---- pool drain / cancel ---------------------------------------------------
+TEST(ManifestFuzz, TruncationsAndByteMutationsThrowOrParse) {
+  // The manifest is hlsprof-run's one text input, so it is untrusted:
+  // every damaged form of both example manifests must fail with
+  // hlsprof::Error or parse into at least one job, never crash.
+  for (const char* name : {"gemm_threads", "pi_sampling"}) {
+    const std::string text = slurp(std::string(HLSPROF_MANIFEST_DIR) + "/" +
+                                   name + ".manifest");
+    ASSERT_FALSE(text.empty()) << name;
+    ASSERT_GE(runner::parse_manifest(text).batch.size(), 1u) << name;
+    const auto try_parse = [](const std::string& t) {
+      try {
+        EXPECT_GE(runner::parse_manifest(t).batch.size(), 1u) << t;
+      } catch (const Error&) {
+      }
+    };
+    for (std::size_t n = 0; n < text.size(); ++n) {
+      try_parse(text.substr(0, n));
+    }
+    for (std::size_t pos = 0; pos < text.size(); ++pos) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string mutated = text;
+        mutated[pos] = char(byte);
+        try_parse(mutated);
+      }
+    }
+  }
+}
+
+// ---- pool drain ------------------------------------------------------------
 
 TEST(RunnerPool, DestructorDrainsQueuedTasksWithoutLoss) {
   std::atomic<int> ran{0};
@@ -582,92 +641,10 @@ TEST(RunnerPool, DestructorDrainsQueuedTasksWithoutLoss) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(RunnerPool, CancelPendingDropsOnlyNotYetStartedTasks) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<bool> started{false};
-  std::atomic<int> ran{0};
-
-  runner::Pool pool(1);
-  // Occupy the single worker so everything after stays queued.
-  pool.submit([&] {
-    started = true;
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-  while (!started) std::this_thread::yield();
-  for (int i = 0; i < 5; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  EXPECT_EQ(pool.pending(), 5u);
-
-  EXPECT_EQ(pool.cancel_pending(), 5u);
-  EXPECT_EQ(pool.pending(), 0u);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  pool.wait();
-  EXPECT_EQ(ran.load(), 0) << "cancelled tasks must not run";
-
-  // The pool still accepts and runs new work after a cancel.
-  pool.submit([&ran] { ran.fetch_add(1); });
-  pool.wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(RunnerPool, DestroyWithQueuedTasksAfterCancelDoesNotDeadlock) {
-  std::atomic<int> ran{0};
-  {
-    runner::Pool pool(1);
-    std::atomic<bool> started{false};
-    pool.submit([&] {
-      started = true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    });
-    while (!started) std::this_thread::yield();
-    for (int i = 0; i < 8; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-    pool.cancel_pending();
-    // Destructor joins cleanly with an emptied queue.
-  }
-  EXPECT_EQ(ran.load(), 0);
-}
-
-// ---- batches on a shared resident pool -------------------------------------
-
-TEST(RunnerBatch, ExternalPoolProducesIdenticalCanonicalReport) {
-  const auto build = [](runner::Batch& b) {
-    b.add(small_gemm_job(12, 1));
-    b.add(small_gemm_job(12, 2));
-    b.add(vecadd_job(128));
-  };
-
-  runner::Batch classic;
-  build(classic);
-  runner::BatchOptions classic_options;
-  classic_options.workers = 3;
-  const runner::BatchResult want = classic.run(classic_options);
-
-  runner::Pool pool(3);
-  runner::Batch shared;
-  build(shared);
-  runner::BatchOptions shared_options;
-  shared_options.pool = &pool;
-  const runner::BatchResult got = shared.run(shared_options);
-  EXPECT_EQ(got.workers, 3);
-
-  runner::ReportOptions ro;
-  ro.canonical = true;
-  EXPECT_EQ(runner::report_json(got, ro), runner::report_json(want, ro));
-}
-
 TEST(RunnerBatch, ConcurrentBatchesShareOneCacheWithSingleFlight) {
   namespace fs = std::filesystem;
   const fs::path dir =
-      fs::path(testing::TempDir()) / "hlsprof_serve_sharedcache";
+      fs::path(testing::TempDir()) / "hlsprof_sharedcache";
   fs::remove_all(dir);
 
   const auto build = [](runner::Batch& b) {
@@ -713,8 +690,7 @@ TEST(RunnerBatch, ConcurrentBatchesShareOneCacheWithSingleFlight) {
   // hit/miss counts are window deltas over the shared cache, so with
   // concurrent batches each window also sees the other batch's events
   // (anywhere from its own 2 up to all 4); normalize them before
-  // comparing report bytes — the serving daemon rebases them per
-  // request for exactly this reason.
+  // comparing report bytes.
   for (const auto& result : results) {
     EXPECT_GE(result.cache_hits + result.cache_misses, 2);
     EXPECT_LE(result.cache_hits + result.cache_misses, 4);

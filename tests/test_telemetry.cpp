@@ -480,16 +480,6 @@ TEST(TelemetryDeterminism, CacheCountersMatchCacheStats) {
   reg.reset_values();
 }
 
-// ---- snapshot deltas (serving-daemon per-request metrics) ------------------
-
-const telemetry::CounterView* counter_named(const telemetry::Snapshot& s,
-                                            const std::string& name) {
-  for (const auto& c : s.counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
 // ---- attribution: a job's spans account for its time ------------------------
 
 /// Fraction of `job` covered by the union of the other spans on its track
@@ -546,96 +536,6 @@ TEST(TelemetryAttribution, JobSpansAreCovered) {
   const double median = covered[covered.size() / 2];
   EXPECT_GE(median, 0.95) << "child spans cover only " << median * 100
                           << " % of the median job";
-}
-
-TEST(TelemetrySnapshot, IncludeEventsFalseOmitsSpansAndSamples) {
-  telemetry::Registry reg;
-  reg.enable(true);
-  reg.counter("c").add(3);
-  reg.record_span("phase", "cat", 0, 10);
-
-  const telemetry::Snapshot full = reg.snapshot();
-  ASSERT_EQ(full.spans.size(), 1u);
-
-  const telemetry::Snapshot cheap = reg.snapshot(false);
-  EXPECT_TRUE(cheap.spans.empty());
-  EXPECT_TRUE(cheap.samples.empty());
-  // Metrics and track names still come through.
-  ASSERT_NE(counter_named(cheap, "c"), nullptr);
-  EXPECT_EQ(counter_named(cheap, "c")->value, 3);
-  EXPECT_EQ(cheap.tracks, full.tracks);
-}
-
-TEST(TelemetrySnapshot, DeltaSubtractsCountersKeepsGaugeLevels) {
-  telemetry::Registry reg;
-  reg.enable(true);
-  reg.counter("req", "1").add(10);
-  reg.gauge("depth").set(4.0);
-  const telemetry::Snapshot before = reg.snapshot(false);
-
-  reg.counter("req").add(7);
-  reg.gauge("depth").set(2.0);
-  reg.counter("fresh").add(1);  // registered after `before`
-  const telemetry::Snapshot after = reg.snapshot(false);
-
-  const telemetry::Snapshot d = telemetry::snapshot_delta(before, after);
-  ASSERT_NE(counter_named(d, "req"), nullptr);
-  EXPECT_EQ(counter_named(d, "req")->value, 7);
-  EXPECT_EQ(counter_named(d, "req")->unit, "1");
-  // A counter born inside the window deltas against zero.
-  ASSERT_NE(counter_named(d, "fresh"), nullptr);
-  EXPECT_EQ(counter_named(d, "fresh")->value, 1);
-  // Gauges are levels: the delta reports the latest value, not -2.
-  ASSERT_EQ(d.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(d.gauges[0].value, 2.0);
-}
-
-TEST(TelemetrySnapshot, DeltaSubtractsHistogramBuckets) {
-  telemetry::Registry reg;
-  reg.enable(true);
-  auto& h = reg.histogram("lat", {1.0, 10.0}, "ms");
-  h.observe(0.5);
-  h.observe(5.0);
-  const telemetry::Snapshot before = reg.snapshot(false);
-  h.observe(5.0);
-  h.observe(100.0);
-  const telemetry::Snapshot after = reg.snapshot(false);
-
-  const telemetry::Snapshot d = telemetry::snapshot_delta(before, after);
-  ASSERT_EQ(d.histograms.size(), 1u);
-  EXPECT_EQ(d.histograms[0].count, 2);
-  EXPECT_DOUBLE_EQ(d.histograms[0].sum, 105.0);
-  ASSERT_EQ(d.histograms[0].buckets.size(), 3u);
-  EXPECT_EQ(d.histograms[0].buckets[0], 0);  // <=1: both before the window
-  EXPECT_EQ(d.histograms[0].buckets[1], 1);  // <=10
-  EXPECT_EQ(d.histograms[0].buckets[2], 1);  // overflow
-}
-
-TEST(TelemetrySnapshot, DeltaTakesSpanSuffix) {
-  telemetry::Registry reg;
-  reg.enable(true);
-  reg.record_span("old", "", 0, 1);
-  const telemetry::Snapshot before = reg.snapshot();
-  reg.record_span("new", "", 2, 3);
-  const telemetry::Snapshot after = reg.snapshot();
-
-  const telemetry::Snapshot d = telemetry::snapshot_delta(before, after);
-  ASSERT_EQ(d.spans.size(), 1u);
-  EXPECT_EQ(d.spans[0].name, "new");
-}
-
-TEST(TelemetrySnapshot, DeltaExportsAsValidTelemetryJson) {
-  telemetry::Registry reg;
-  reg.enable(true);
-  reg.counter("a").add(1);
-  const telemetry::Snapshot before = reg.snapshot(false);
-  reg.counter("a").add(2);
-  reg.gauge("g").set(1.5);
-  const telemetry::Snapshot d =
-      telemetry::snapshot_delta(before, reg.snapshot(false));
-  const std::string json = telemetry::snapshot_json(d);
-  EXPECT_TRUE(json_ok(json));
-  EXPECT_NE(json.find("hlsprof-telemetry"), std::string::npos);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 //                              [--approx-trace]
 //                              [--canonical] [--json] [--quiet] [--progress]
 //                              [--live[=state|metrics]] [--no-color]
-//                              [--shards=N] [--shard-telemetry-prefix=P]
 //                              [--telemetry-out=FILE] [--chrome-trace=FILE]
 //                              [--version] [--help]
 //
@@ -31,26 +30,15 @@
 //   --json               print the JSON report to stdout
 //   --quiet              suppress the summary table
 //   --progress           print one JSON job event per finished job on
-//                        stdout as it completes (runner/job_event.hpp; the
-//                        shard coordinator's feed, which it forwards)
+//                        stdout as it completes (runner/job_event.hpp)
 //   --live[=MODE]        live display on stderr while the batch runs:
 //                        `state` (default) draws the in-place ASCII thread
 //                        timeline of the running job, `metrics` a one-line
 //                        totals ticker. Auto-disabled when stderr is not a
-//                        TTY. In shard mode shows the per-shard fleet view.
-//                        Canonical report and trace bytes are identical
+//                        TTY. Canonical report and trace bytes are identical
 //                        with it on or off. See docs/LIVE.md.
 //   --no-color           disable ANSI colors in the live display
 //                        (NO_COLOR in the environment does the same)
-//   --shards=N           split the manifest's jobs round-robin across N
-//                        hlsprof-run child processes and merge their
-//                        reports; the merged canonical output is
-//                        byte-identical to a single-process run. Implies
-//                        --canonical. 1 = no sharding; N < 1 is a usage
-//                        error. See docs/SHARDING.md.
-//   --shard-telemetry-prefix=P
-//                        each shard child writes its telemetry snapshot to
-//                        P<shard-id>.json
 //   --telemetry-out=FILE enable host telemetry; write the metrics snapshot
 //                        JSON (schema "hlsprof-telemetry") to FILE
 //   --chrome-trace=FILE  enable host telemetry; write a Chrome trace-event
@@ -69,7 +57,6 @@
 #include <exception>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/argparse.hpp"
@@ -77,7 +64,6 @@
 #include "live/reporter.hpp"
 #include "paraver/ascii.hpp"
 #include "runner/runner.hpp"
-#include "runner/shard.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -98,13 +84,11 @@ int main(int argc, char** argv) {
   std::string cache_dir;
   std::string telemetry_out;
   std::string chrome_trace;
-  std::string shard_telemetry_prefix;
   // LLONG_MIN = not given; an explicit negative value is rejected.
   constexpr long long kUnset = std::numeric_limits<long long>::min();
   long long workers_override = kUnset;
   long long seed_override = kUnset;
   long long cache_max_bytes = kUnset;
-  long long shards = 1;
   std::string live_value = "state";
   bool approx_trace = false;
   bool canonical = false;
@@ -142,12 +126,6 @@ int main(int argc, char** argv) {
                        "live stderr display: state (timeline, default) or "
                        "metrics (ticker); auto-off when stderr is no TTY")
       .flag("no-color", &no_color, "disable ANSI colors in the live display")
-      .option_int("shards", &shards,
-                  "split jobs across N child processes and merge the "
-                  "reports (implies --canonical)")
-      .option("shard-telemetry-prefix", &shard_telemetry_prefix,
-              "each shard child writes its telemetry snapshot to "
-              "VALUE<shard-id>.json")
       .option("telemetry-out", &telemetry_out,
               "enable telemetry; write the metrics snapshot JSON here")
       .option("chrome-trace", &chrome_trace,
@@ -181,10 +159,6 @@ int main(int argc, char** argv) {
       return usage(parser, stderr);
     }
   }
-  if (shards < 1) {
-    std::fprintf(stderr, "hlsprof-run: --shards must be >= 1\n");
-    return usage(parser, stderr);
-  }
 
   live::LiveMode live_mode = live::LiveMode::off;
   if (live_flag && !live::parse_live_mode(live_value, &live_mode)) {
@@ -202,145 +176,67 @@ int main(int argc, char** argv) {
   const bool telemetry_on = !telemetry_out.empty() || !chrome_trace.empty();
   if (telemetry_on) telemetry_reg.enable(true);
 
-  const bool shard_mode = shards > 1;
+  runner::ManifestRun run;
+  try {
+    run = runner::load_manifest(manifest_path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
+    return 2;
+  }
+
+  if (workers_override >= 0) run.options.workers = int(workers_override);
+  if (seed_override >= 0) run.options.seed = std::uint64_t(seed_override);
+  if (approx_trace) runner::apply_approx_trace(run);
+  if (!out_override.empty()) run.out_prefix = out_override;
+  if (!cache_dir.empty()) run.options.cache_dir = cache_dir;
+  if (cache_max_bytes >= 0) {
+    run.options.cache_max_bytes = std::uint64_t(cache_max_bytes);
+  }
+  // Live display: reads each job's canonical timeline fold and its job
+  // event — the report and trace bytes are identical with it on or off.
+  std::unique_ptr<live::BatchLiveReporter> reporter;
+  if (live_display) {
+    live::ReporterOptions lopts;
+    lopts.mode = live_mode;
+    lopts.display = stderr;
+    lopts.color = live_color;
+    reporter = std::make_unique<live::BatchLiveReporter>(lopts);
+    if (live_mode == live::LiveMode::state) {
+      live::BatchLiveReporter* r = reporter.get();
+      run.options.on_trace = [r](int index, const std::string& name,
+                                 const trace::TimedTraceBuilder& b) {
+        r->on_trace(index, name, b);
+      };
+    }
+  }
+  if (progress || reporter) {
+    live::BatchLiveReporter* r = reporter.get();
+    run.options.on_job_event = [progress, r](const runner::JobEvent& e) {
+      if (progress) {
+        // One flushed line per job so a piped consumer sees completions
+        // as they happen.
+        std::fputs((runner::format_job_event(e) + "\n").c_str(), stdout);
+        std::fflush(stdout);
+      }
+      if (r != nullptr) r->on_job_event(e);
+    };
+  }
 
   runner::BatchResult result;
-  runner::ReportOptions ropts;
-  std::string out_prefix;
-
-  if (shard_mode) {
-    runner::ShardOptions sopts;
-    sopts.shards = int(shards);
-    sopts.cache_dir = cache_dir;
-    if (cache_max_bytes > 0) {
-      sopts.cache_max_bytes = std::uint64_t(cache_max_bytes);
-    }
-    sopts.workers_per_shard = workers_override > 0 ? int(workers_override) : 0;
-    sopts.seed_override = seed_override;
-    sopts.approx_trace = approx_trace;
-    sopts.quiet = quiet;
-    sopts.child_telemetry_prefix = shard_telemetry_prefix;
-    if (!canonical && !quiet) {
-      std::fprintf(stderr,
-                   "hlsprof-run: note: --shards implies --canonical (merged "
-                   "reports are deterministic by construction)\n");
-    }
-
-    // ONE merged Perfetto file: coordinator + every shard child, tracks
-    // namespaced per shard.
-    sopts.chrome_trace_out = chrome_trace;
-
-    // Children print job events on their progress pipes: forward them
-    // under --progress, fold them into the fleet view under --live.
-    std::unique_ptr<live::FleetView> fleet;
-    if (live_display) {
-      std::size_t jobs_total = 0;
-      try {
-        const runner::ManifestRun run = runner::load_manifest(manifest_path);
-        jobs_total = run.options.select.empty() ? run.batch.size()
-                                                : run.options.select.size();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-        return 2;
-      }
-      fleet = std::make_unique<live::FleetView>(
-          jobs_total, live::FleetOptions{.display = stderr, .in_place = true});
-      // A stray re-dispatch note would tear the in-place fleet frame.
-      sopts.quiet = true;
-    }
-    if (progress || fleet) {
-      live::FleetView* fleet_ptr = fleet.get();
-      sopts.on_job_event = [progress, fleet_ptr](int shard,
-                                                 const std::string& line,
-                                                 const runner::JobEvent& e) {
-        if (progress) {
-          std::fputs((line + "\n").c_str(), stdout);
-          std::fflush(stdout);
-        }
-        if (fleet_ptr != nullptr) fleet_ptr->update(shard, e);
-      };
-    }
-
-    runner::ShardResult sharded;
-    try {
-      sharded = runner::run_sharded(manifest_path, sopts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return 2;
-    }
-    if (fleet) fleet->finish();
-    if (!quiet) {
-      std::fprintf(stderr, "hlsprof-run: %d shards (%d re-dispatched)\n",
-                   sharded.shards_launched, sharded.shards_redispatched);
-    }
-    result = std::move(sharded.merged);
-    ropts.canonical = true;
-    ropts.label = sharded.label;
-    out_prefix = !out_override.empty() ? out_override : sharded.out_prefix;
-  } else {
-    runner::ManifestRun run;
-    try {
-      run = runner::load_manifest(manifest_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return 2;
-    }
-
-    if (workers_override >= 0) run.options.workers = int(workers_override);
-    if (seed_override >= 0) run.options.seed = std::uint64_t(seed_override);
-    if (approx_trace) runner::apply_approx_trace(run);
-    if (!out_override.empty()) run.out_prefix = out_override;
-    if (!cache_dir.empty()) run.options.cache_dir = cache_dir;
-    if (cache_max_bytes >= 0) {
-      run.options.cache_max_bytes = std::uint64_t(cache_max_bytes);
-    }
-    // Live display: reads each job's canonical timeline fold and its job
-    // event — the report and trace bytes are identical with it on or off.
-    std::unique_ptr<live::BatchLiveReporter> reporter;
-    if (live_display) {
-      live::ReporterOptions lopts;
-      lopts.mode = live_mode;
-      lopts.display = stderr;
-      lopts.color = live_color;
-      reporter = std::make_unique<live::BatchLiveReporter>(lopts);
-      if (live_mode == live::LiveMode::state) {
-        live::BatchLiveReporter* r = reporter.get();
-        run.options.on_trace = [r](int index, const std::string& name,
-                                   const trace::TimedTraceBuilder& b) {
-          r->on_trace(index, name, b);
-        };
-      }
-    }
-    std::mutex progress_mu;
-    if (progress || reporter) {
-      live::BatchLiveReporter* r = reporter.get();
-      run.options.on_job_event = [progress, r,
-                                  &progress_mu](const runner::JobEvent& e) {
-        if (progress) {
-          // One flushed line per job so a piped consumer (the shard
-          // coordinator) sees completions as they happen.
-          std::lock_guard<std::mutex> lock(progress_mu);
-          std::fputs((runner::format_job_event(e) + "\n").c_str(), stdout);
-          std::fflush(stdout);
-        }
-        if (r != nullptr) r->on_job_event(e);
-      };
-    }
-
-    try {
-      result = run.batch.run(run.options);
-    } catch (const std::exception& e) {
-      // Runner-internal failure (e.g. the cache directory cannot be
-      // created) — a configuration error, unlike per-job failures, which
-      // land in the report.
-      std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
-      return 2;
-    }
-    if (reporter) reporter->finish();
-    ropts.canonical = canonical;
-    ropts.label = run.label;
-    out_prefix = run.out_prefix;
+  try {
+    result = run.batch.run(run.options);
+  } catch (const std::exception& e) {
+    // Runner-internal failure (e.g. the cache directory cannot be
+    // created) — a configuration error, unlike per-job failures, which
+    // land in the report.
+    std::fprintf(stderr, "hlsprof-run: %s\n", e.what());
+    return 2;
   }
+  if (reporter) reporter->finish();
+  runner::ReportOptions ropts;
+  ropts.canonical = canonical;
+  ropts.label = run.label;
+  const std::string& out_prefix = run.out_prefix;
 
   if (!quiet) {
     std::fputs(runner::summary_table(result).c_str(), stdout);
@@ -378,20 +274,11 @@ int main(int argc, char** argv) {
                       telemetry_out.c_str());
       }
       if (!chrome_trace.empty()) {
-        if (shard_mode) {
-          // The shard coordinator already merged every child trace plus
-          // its own into the one fleet file at this path.
-          if (!quiet)
-            std::printf("merged fleet chrome trace written to %s "
-                        "(open in Perfetto)\n",
-                        chrome_trace.c_str());
-        } else {
-          telemetry::write_text_file(
-              chrome_trace, telemetry::chrome_trace_json(snap) + "\n");
-          if (!quiet)
-            std::printf("chrome trace written to %s (open in Perfetto)\n",
-                        chrome_trace.c_str());
-        }
+        telemetry::write_text_file(chrome_trace,
+                                   telemetry::chrome_trace_json(snap) + "\n");
+        if (!quiet)
+          std::printf("chrome trace written to %s (open in Perfetto)\n",
+                      chrome_trace.c_str());
       }
       // Non-canonical sidecar next to the batch report, so archived runs
       // keep their host metrics without touching the canonical bytes.
