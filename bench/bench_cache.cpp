@@ -3,10 +3,10 @@
 // on-disk store) versus warm (a fresh cache over the same directory, so
 // every design deserializes from disk instead of compiling). Exits
 // non-zero if the warm start is not faster than the cold one — the perf
-// contract that makes --cache-dir worth having, enforced by CI.
+// contract that makes --cache-dir worth having, enforced by ctest's
+// bench_cache_smoke.
 //
-// Plain main() instead of google-benchmark: the run IS the measurement
-// (one sweep per rep, best-of-reps), and CI consumes the emitted
+// The run IS the measurement (one sweep per rep, best-of-reps); it writes
 // BENCH_cache.json. Flags: --dim=N --reps=N --out=PATH --cache-dir=DIR.
 #include <chrono>
 #include <cstdio>

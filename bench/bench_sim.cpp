@@ -4,14 +4,14 @@
 // tier (SimParams::fast_forward) — on the GEMM case study (1 and 8
 // hardware threads) and the pi series. Exits non-zero if the fast path is
 // slower than the reference loop, or the approx tier slower than the fast
-// path, on either GEMM case — the perf contract CI enforces. Also exits
-// non-zero (status 2) if the approx tier's total_cycles drifts more than
-// 0.5% from the reference on GEMM, or differs at all on pi (no external
-// ops in its hot loop, so fast-forward must never engage there).
+// path, on either GEMM case — the perf contract ctest's bench_sim_smoke
+// enforces. Also exits non-zero (status 2) if the approx tier's
+// total_cycles drifts more than 0.5% from the reference on GEMM, or
+// differs at all on pi (no external ops in its hot loop, so fast-forward
+// must never engage there).
 //
-// Plain main() instead of google-benchmark: the run IS the measurement
-// (one simulation per rep, best-of-reps), and CI consumes the emitted
-// BENCH_sim.json + BENCH_ff.json. Flags: --dim=N --steps=N --reps=N
+// The run IS the measurement (one simulation per rep, best-of-reps); it
+// writes BENCH_sim.json + BENCH_ff.json. Flags: --dim=N --steps=N --reps=N
 // --out=PATH --ff-out=PATH.
 #include <chrono>
 #include <cmath>

@@ -35,20 +35,4 @@ double BinnedSeries::bin(std::size_t i) const {
   return i < bins_.size() ? bins_[i] : 0.0;
 }
 
-double BinnedSeries::rate(std::size_t i) const {
-  return bin(i) / double(bin_width_);
-}
-
-double BinnedSeries::total() const {
-  double s = 0.0;
-  for (double b : bins_) s += b;
-  return s;
-}
-
-double BinnedSeries::peak() const {
-  double p = 0.0;
-  for (double b : bins_) p = std::max(p, b);
-  return p;
-}
-
 }  // namespace hlsprof

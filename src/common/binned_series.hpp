@@ -26,22 +26,8 @@ class BinnedSeries {
   /// several bins. No-op if t1 <= t0.
   void add_range(cycle_t t0, cycle_t t1, double amount);
 
-  cycle_t bin_width() const { return bin_width_; }
-  std::size_t num_bins() const { return bins_.size(); }
-
   /// Sum stored in bin `i` (0 if beyond the last touched bin).
   double bin(std::size_t i) const;
-
-  /// Bin value divided by bin width: an average rate (per cycle).
-  double rate(std::size_t i) const;
-
-  /// Total across all bins.
-  double total() const;
-
-  /// Largest per-bin value (0 for an empty series).
-  double peak() const;
-
-  const std::vector<double>& raw() const { return bins_; }
 
  private:
   cycle_t bin_width_;

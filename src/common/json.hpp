@@ -1,14 +1,12 @@
-// Minimal JSON support used by the batch-report layer and the job-event
-// line: a streaming writer that emits deterministic, valid, single-line
-// JSON (keys in insertion order, %.17g doubles, full string escaping) and
-// a strict recursive-descent reader (json_parse). Round trip is exact for
-// strings: json_parse(JsonWriter output) recovers the original bytes.
+// Minimal JSON emission used by the batch-report layer, the job-event
+// line and the telemetry exporters: a streaming writer that emits
+// deterministic, valid, single-line JSON (keys in insertion order, %.17g
+// doubles, full string escaping).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace hlsprof {
@@ -44,7 +42,6 @@ class JsonWriter {
   JsonWriter& value(long long v) { return value(std::int64_t(v)); }
   JsonWriter& value(unsigned long long v) { return value(std::uint64_t(v)); }
   JsonWriter& value(double v);
-  JsonWriter& null();
 
   /// key() + value() in one call.
   template <typename T>
@@ -65,67 +62,5 @@ class JsonWriter {
   bool key_pending_ = false;
   bool done_ = false;
 };
-
-/// Parsed JSON document node. Numbers are kept as doubles (plus an exact
-/// int64 when the text was integral); object member order follows the
-/// document.
-class JsonValue {
- public:
-  enum class Kind { null, boolean, number, string, array, object };
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::null; }
-  bool is_object() const { return kind_ == Kind::object; }
-  bool is_array() const { return kind_ == Kind::array; }
-  bool is_string() const { return kind_ == Kind::string; }
-  bool is_number() const { return kind_ == Kind::number; }
-  bool is_bool() const { return kind_ == Kind::boolean; }
-
-  /// Typed accessors; throw hlsprof::Error on a kind mismatch.
-  bool as_bool() const;
-  double as_double() const;
-  /// Throws unless the number was written as an integer that fits int64.
-  std::int64_t as_int64() const;
-  /// Throws unless the number was written as a non-negative integer that
-  /// fits uint64. Exact for the full range — values above int64::max
-  /// (e.g. 64-bit seeds) round-trip without the double detour.
-  std::uint64_t as_uint64() const;
-  const std::string& as_string() const;
-  const std::vector<JsonValue>& items() const;
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
-
-  /// Object member lookup (first match); nullptr when absent or not an
-  /// object.
-  const JsonValue* find(std::string_view key) const;
-
-  // Construction (used by the parser; handy for tests).
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool v);
-  static JsonValue make_number(double v);
-  static JsonValue make_int(std::int64_t v);
-  static JsonValue make_uint(std::uint64_t v);
-  static JsonValue make_string(std::string v);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(
-      std::vector<std::pair<std::string, JsonValue>> members);
-
- private:
-  Kind kind_ = Kind::null;
-  bool bool_ = false;
-  double num_ = 0.0;
-  std::int64_t int_ = 0;
-  bool int_exact_ = false;
-  std::uint64_t uint_ = 0;
-  bool uint_exact_ = false;
-  std::string str_;
-  std::vector<JsonValue> items_;
-  std::vector<std::pair<std::string, JsonValue>> members_;
-};
-
-/// Parse one JSON document. Strict: the whole input (minus surrounding
-/// whitespace) must be consumed; malformed input throws hlsprof::Error
-/// with a byte offset. Escapes (incl. \uXXXX and surrogate pairs) are
-/// decoded to UTF-8.
-JsonValue json_parse(std::string_view text);
 
 }  // namespace hlsprof

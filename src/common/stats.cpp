@@ -7,13 +7,6 @@
 
 namespace hlsprof {
 
-double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / double(xs.size());
-}
-
 double geomean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double log_sum = 0.0;
@@ -27,53 +20,6 @@ double geomean(std::span<const double> xs) {
 double max_of(std::span<const double> xs) {
   HLSPROF_CHECK(!xs.empty(), "max_of on empty span");
   return *std::max_element(xs.begin(), xs.end());
-}
-
-double min_of(std::span<const double> xs) {
-  HLSPROF_CHECK(!xs.empty(), "min_of on empty span");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / double(xs.size()));
-}
-
-double percentile(std::span<const double> xs, double p) {
-  HLSPROF_CHECK(!xs.empty(), "percentile on empty span");
-  HLSPROF_CHECK(p >= 0.0 && p <= 100.0, "percentile p out of [0,100]");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = p / 100.0 * double(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - double(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++count_;
-}
-
-double RunningStats::min() const {
-  HLSPROF_CHECK(count_ > 0, "RunningStats::min with no samples");
-  return min_;
-}
-
-double RunningStats::max() const {
-  HLSPROF_CHECK(count_ > 0, "RunningStats::max with no samples");
-  return max_;
 }
 
 }  // namespace hlsprof

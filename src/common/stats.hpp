@@ -1,16 +1,10 @@
-// Small statistics helpers used by the benchmark harnesses and the
-// overhead-reporting code (the paper reports max and geometric-mean
-// overheads across designs in Section V-B).
+// Small statistics helpers for the overhead-reporting code (the paper
+// reports max and geometric-mean overheads across designs in Section V-B).
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hlsprof {
-
-/// Arithmetic mean. Returns 0 for an empty span.
-double mean(std::span<const double> xs);
 
 /// Geometric mean. All inputs must be > 0; throws Error otherwise.
 /// Returns 0 for an empty span.
@@ -18,32 +12,5 @@ double geomean(std::span<const double> xs);
 
 /// Maximum value; throws Error on an empty span.
 double max_of(std::span<const double> xs);
-
-/// Minimum value; throws Error on an empty span.
-double min_of(std::span<const double> xs);
-
-/// Population standard deviation. Returns 0 for spans of size < 2.
-double stddev(std::span<const double> xs);
-
-/// Linear-interpolated percentile, p in [0,100]. Throws on empty input or
-/// out-of-range p. Input need not be sorted (a copy is sorted internally).
-double percentile(std::span<const double> xs, double p);
-
-/// Streaming accumulator for min/max/mean/count without storing samples.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / double(count_); }
-  double min() const;
-  double max() const;
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace hlsprof

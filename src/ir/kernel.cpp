@@ -20,12 +20,6 @@ const Op& Kernel::op(ValueId v) const {
   return ops[static_cast<std::size_t>(v)];
 }
 
-Op& Kernel::op(ValueId v) {
-  HLSPROF_CHECK(v >= 0 && static_cast<std::size_t>(v) < ops.size(),
-                "ValueId out of range");
-  return ops[static_cast<std::size_t>(v)];
-}
-
 void for_each_region(const Region& r,
                      const std::function<void(const Region&)>& fn) {
   fn(r);

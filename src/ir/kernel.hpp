@@ -122,7 +122,6 @@ struct Kernel {
   Region body;
 
   const Op& op(ValueId v) const;
-  Op& op(ValueId v);
 };
 
 /// Walk all regions of a kernel depth-first, invoking `fn` on each stmt.

@@ -195,20 +195,6 @@ DurationHistogram state_duration_histogram(const TimedTrace& t,
   return h;
 }
 
-std::vector<ThreadRow> per_thread_table(const TimedTrace& t) {
-  std::vector<ThreadRow> rows;
-  for (int th = 0; th < t.num_threads; ++th) {
-    ThreadRow r;
-    r.thread = thread_id_t(th);
-    r.idle = t.state_fraction(r.thread, sim::ThreadState::idle);
-    r.running = t.state_fraction(r.thread, sim::ThreadState::running);
-    r.critical = t.state_fraction(r.thread, sim::ThreadState::critical);
-    r.spinning = t.state_fraction(r.thread, sim::ThreadState::spinning);
-    rows.push_back(r);
-  }
-  return rows;
-}
-
 std::string sparkline(const std::vector<double>& series, int buckets) {
   HLSPROF_CHECK(buckets > 0, "sparkline needs at least one bucket");
   std::vector<double> agg(std::size_t(buckets), 0.0);

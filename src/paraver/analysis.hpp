@@ -99,12 +99,4 @@ struct DurationHistogram {
 DurationHistogram state_duration_histogram(const trace::TimedTrace& t,
                                            sim::ThreadState state);
 
-/// Per-thread state-fraction table (the per-row numbers the Paraver GUI
-/// shows next to the timeline).
-struct ThreadRow {
-  thread_id_t thread = 0;
-  double idle = 0, running = 0, critical = 0, spinning = 0;
-};
-std::vector<ThreadRow> per_thread_table(const trace::TimedTrace& t);
-
 }  // namespace hlsprof::paraver

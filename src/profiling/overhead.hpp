@@ -26,10 +26,6 @@ struct ProfilingOverhead {
   // Relative overheads vs. the base design (what §V-B reports).
   double register_pct = 0;
   double alm_pct = 0;
-
-  double profiled_fmax(double base_fmax) const {
-    return base_fmax - fmax_delta_mhz;
-  }
 };
 
 /// Tuning knobs of the overhead model (calibrated; see EXPERIMENTS.md).

@@ -70,7 +70,6 @@ class ProfilingUnit final : public sim::SimHooks {
   /// the streaming pipeline instead).
   trace::TimedTrace timeline() const;
 
-  addr_t trace_base() const { return trace_base_; }
   std::size_t trace_bytes_written() const { return trace_write_off_; }
   long long flush_bursts() const { return flush_bursts_; }
   long long state_records() const { return state_records_; }
@@ -118,6 +117,4 @@ class ProfilingUnit final : public sim::SimHooks {
   bool finished_ = false;
 };
 
-/// Convenience: run a simulator with a fresh profiling unit and return the
-/// reconstructed timeline (used by tests and examples).
 }  // namespace hlsprof::profiling

@@ -196,16 +196,4 @@ CacheStats DesignCache::stats() const {
   return stats_;
 }
 
-std::size_t DesignCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return map_.size();
-}
-
-void DesignCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  map_.clear();
-  compile_us_.clear();
-  stats_ = CacheStats{};
-}
-
 }  // namespace hlsprof::runner

@@ -65,8 +65,6 @@ class DesignCache {
   std::shared_ptr<const DiskDesignStore> disk() const;
 
   CacheStats stats() const;
-  std::size_t size() const;
-  void clear();
 
  private:
   using Future = std::shared_future<std::shared_ptr<const hls::Design>>;

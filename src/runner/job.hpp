@@ -48,7 +48,6 @@ class HostBuffers {
   /// i-th f32 buffer in allocation order — lets a check callback reach
   /// buffers its bind callback allocated without shared captured state.
   std::vector<float>& f32_at(std::size_t i) { return f32_.at(i); }
-  std::size_t f32_count() const { return f32_.size(); }
 
  private:
   std::deque<std::vector<float>> f32_;

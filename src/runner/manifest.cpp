@@ -57,7 +57,7 @@ const std::map<std::string, IntRange> kIntKeys = {
     {"block", {1, kIntMax}},
     {"vector_len", {1, kIntMax}},
     {"steps", {1, kIntMax}},
-    {"unroll", {1, kIntMax}},
+    {"unroll", {1, ir::kMaxLanes}},  // pi's lanes per iteration
     {"n", {1, kIntMax}},
     {"sampling_period", {1, kInt64Max}},
     {"buffer_lines", {1, kIntMax}},

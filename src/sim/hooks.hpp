@@ -22,8 +22,6 @@ enum class ThreadState : std::uint8_t {
   spinning = 3,
 };
 
-const char* thread_state_name(ThreadState s);
-
 class SimHooks {
  public:
   virtual ~SimHooks() = default;

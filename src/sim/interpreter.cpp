@@ -14,16 +14,6 @@ using ir::Region;
 using ir::Stmt;
 using ir::ValueId;
 
-const char* thread_state_name(ThreadState s) {
-  switch (s) {
-    case ThreadState::idle: return "Idle";
-    case ThreadState::running: return "Running";
-    case ThreadState::critical: return "Critical";
-    case ThreadState::spinning: return "Spinning";
-  }
-  return "?";
-}
-
 ThreadInterp::ThreadInterp(const hls::Design& design,
                            const std::vector<ArgValue>& args, thread_id_t tid,
                            ExternalMemory& mem, const SimParams& params,

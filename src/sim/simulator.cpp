@@ -20,12 +20,6 @@ long long SimResult::total_fp_ops() const {
   return s;
 }
 
-long long SimResult::total_int_ops() const {
-  long long s = 0;
-  for (const auto& t : threads) s += t.int_ops;
-  return s;
-}
-
 Simulator::Simulator(const hls::Design& design, SimParams params,
                      std::size_t mem_capacity)
     : d_(design),

@@ -63,7 +63,6 @@ struct SimResult {
 
   cycle_t total_stall_cycles() const;
   long long total_fp_ops() const;
-  long long total_int_ops() const;
 };
 
 class Simulator {

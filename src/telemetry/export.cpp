@@ -96,10 +96,6 @@ std::string snapshot_json(const Snapshot& s) {
   return w.str();
 }
 
-std::string snapshot_json(const Registry& r) {
-  return snapshot_json(r.snapshot());
-}
-
 std::string chrome_trace_json(const Snapshot& s) {
   JsonWriter w;
   w.begin_object();
@@ -149,10 +145,6 @@ std::string chrome_trace_json(const Snapshot& s) {
   w.end_object();
   w.end_object();
   return w.str();
-}
-
-std::string chrome_trace_json(const Registry& r) {
-  return chrome_trace_json(r.snapshot());
 }
 
 std::string summary_text(const Snapshot& s) {

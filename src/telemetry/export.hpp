@@ -14,14 +14,12 @@ namespace hlsprof::telemetry {
 /// histograms (bucket edges + counts), span/sample bookkeeping.
 /// Deterministically ordered (names sorted) for diffable output.
 std::string snapshot_json(const Snapshot& s);
-std::string snapshot_json(const Registry& r);
 
 /// Chrome trace-event JSON: one "X" (complete) event per span, one
 /// counter ("C") event per gauge sample, plus thread_name metadata so
 /// each registered track renders as a named row. Timestamps are µs since
 /// the registry epoch.
 std::string chrome_trace_json(const Snapshot& s);
-std::string chrome_trace_json(const Registry& r);
 
 /// Short human-readable digest of the headline metrics (one line per
 /// subsystem) for CLI stdout.

@@ -6,17 +6,6 @@
 
 namespace hlsprof::trace {
 
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::stall_cycles: return "stall_cycles";
-    case EventKind::int_ops: return "int_ops";
-    case EventKind::fp_ops: return "fp_ops";
-    case EventKind::bytes_read: return "bytes_read";
-    case EventKind::bytes_written: return "bytes_written";
-  }
-  return "?";
-}
-
 std::size_t state_record_bytes(int num_threads) {
   return 1 /*tag*/ + 4 /*clock*/ +
          std::size_t((2 * num_threads + 7) / 8) /*2 bits per thread*/;
@@ -102,16 +91,9 @@ std::vector<std::uint8_t> LineEncoder::take_lines() {
   return std::exchange(full_bytes_, {});
 }
 
-void ClockUnwrapper::seed(cycle_t known) {
-  HLSPROF_CHECK(!seeded_, "ClockUnwrapper::seed after the first clock");
-  seeded_ = true;
-  last_ = std::uint32_t(known & 0xffffffffULL);
-  base_ = known - cycle_t(last_);
-}
-
 cycle_t ClockUnwrapper::feed(std::uint32_t c32) {
-  if (!seeded_) {
-    seeded_ = true;
+  if (!started_) {
+    started_ = true;
     last_ = c32;
     base_ = 0;
     return cycle_t(c32);
@@ -123,14 +105,6 @@ cycle_t ClockUnwrapper::feed(std::uint32_t c32) {
   last_ = c32;
   base_ = cycle_t(next) - cycle_t(last_);
   return cycle_t(next);
-}
-
-std::vector<cycle_t> unwrap_clocks(const std::vector<std::uint32_t>& clocks) {
-  ClockUnwrapper u;
-  std::vector<cycle_t> out;
-  out.reserve(clocks.size());
-  for (std::uint32_t c : clocks) out.push_back(u.feed(c));
-  return out;
 }
 
 // decode_lines lives in streaming.cpp as a thin wrapper over

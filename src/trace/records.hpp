@@ -36,8 +36,6 @@ enum class EventKind : std::uint8_t {
   bytes_written = 5,
 };
 
-const char* event_kind_name(EventKind k);
-
 struct StateRecord {
   std::uint32_t clock32 = 0;           // wrapping 32-bit cycle counter
   std::vector<std::uint8_t> states;    // one 2-bit code per thread, unpacked
@@ -100,24 +98,14 @@ struct DecodedTrace {
 /// signed delta from the previous one, so consecutive records less than
 /// half a wrap apart unwrap to monotone 64-bit cycles (small backwards
 /// steps of lagged event windows are preserved, clamped at zero). One
-/// instance persists across flush bursts in the streaming decoder; the
-/// batch helpers below create a fresh one per call.
+/// instance persists across flush bursts in the streaming decoder.
 class ClockUnwrapper {
  public:
-  /// Seed with an externally known cycle count (e.g. the host attaches to
-  /// a stream whose first line was written after one or more 32-bit
-  /// wraps). The next fed clock is interpreted as a signed delta from
-  /// `known`, so the unwrapped stream stays monotone instead of
-  /// restarting below 2^32. Must be called before the first feed().
-  void seed(cycle_t known);
-
   /// Unwrap the next 32-bit clock.
   cycle_t feed(std::uint32_t c32);
 
-  bool seeded() const { return seeded_; }
-
  private:
-  bool seeded_ = false;
+  bool started_ = false;
   std::uint32_t last_ = 0;
   cycle_t base_ = 0;
 };
@@ -128,9 +116,5 @@ class ClockUnwrapper {
 /// trace::StreamingDecoder (streaming.hpp) — one feed() of the whole span.
 DecodedTrace decode_lines(const std::uint8_t* data, std::size_t bytes,
                           int num_threads);
-
-/// Unwrap a sequence of 32-bit clocks into monotonically non-decreasing
-/// 64-bit cycle counts (exposed separately for testing).
-std::vector<cycle_t> unwrap_clocks(const std::vector<std::uint32_t>& clocks);
 
 }  // namespace hlsprof::trace

@@ -72,18 +72,10 @@ class StreamingDecoder final : public FlushSink {
   /// (torn final line).
   void finish();
 
-  /// Seed the clock unwrapper with an externally known cycle, so a stream
-  /// whose first line was written after one or more 32-bit clock wraps
-  /// still unwraps to monotone cycles. Call before the first feed().
-  void seed_clock(cycle_t known) { unwrap_.seed(known); }
-
   /// Total whole-line bytes decoded so far.
   std::size_t bytes_consumed() const { return consumed_; }
   /// Partial-line bytes currently carried (< kLineBytes).
   std::size_t carry_bytes() const { return carry_n_; }
-  long long lines_decoded() const {
-    return static_cast<long long>(consumed_ / kLineBytes);
-  }
   bool finished() const { return finished_; }
 
  private:

@@ -1,7 +1,6 @@
 #include "trace/timed_trace.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -38,15 +37,6 @@ std::uint64_t TimedTrace::event_total(EventKind kind) const {
     if (e.kind == kind) total += e.value;
   }
   return total;
-}
-
-std::vector<std::pair<cycle_t, std::uint64_t>> TimedTrace::event_series(
-    EventKind kind) const {
-  std::map<cycle_t, std::uint64_t> acc;
-  for (const EventSample& e : events) {
-    if (e.kind == kind) acc[e.t] += e.value;
-  }
-  return {acc.begin(), acc.end()};
 }
 
 TimedTraceBuilder::TimedTraceBuilder(int num_threads, cycle_t sampling_period)
@@ -91,7 +81,6 @@ void TimedTraceBuilder::on_state(const StateRecord& r, cycle_t t) {
 
 void TimedTraceBuilder::on_event(const EventRecord& r, cycle_t t) {
   HLSPROF_CHECK(!finished_, "TimedTraceBuilder::on_event after finish");
-  ++events_seen_;
   last_clock_ = std::max(last_clock_, t);
   out_.events.push_back(EventSample{r.kind, thread_id_t(r.thread), t,
                                     r.value});

@@ -58,12 +58,6 @@ struct TimedTrace {
 
   /// Sum of event values of `kind` across threads and windows.
   std::uint64_t event_total(EventKind kind) const;
-
-  /// Per-window total of `kind` across threads: pairs (window_start, sum),
-  /// sorted by window start. Adjacent-window series for bandwidth /
-  /// FLOP-rate curves (paper Figs. 7-9).
-  std::vector<std::pair<cycle_t, std::uint64_t>> event_series(
-      EventKind kind) const;
 };
 
 /// Incremental timeline reconstruction: folds decoded records into state
@@ -86,7 +80,6 @@ class TimedTraceBuilder final : public RecordSink {
   TimedTrace finish(cycle_t run_end);
 
   long long states_seen() const { return states_seen_; }
-  long long events_seen() const { return events_seen_; }
 
   // Read-only view of the fold so far, for observers that sample the
   // builder between flush bursts (the live timeline). Valid until finish().
@@ -116,7 +109,6 @@ class TimedTraceBuilder final : public RecordSink {
   cycle_t last_clock_ = 0;
   bool finished_ = false;
   long long states_seen_ = 0;
-  long long events_seen_ = 0;
 };
 
 /// Build the timeline from decoded records. `run_end` clamps/extends the

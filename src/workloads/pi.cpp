@@ -63,7 +63,8 @@ ir::Kernel pi_series(const PiConfig& cfg) {
   // Sum-reduction of the per-thread partial result under a critical
   // section (Fig. 10).
   kb.critical(0, [&] {
-    Val partial = kb.reduce_add(sum.get()) + rem.get();
+    // One lane is already the scalar sum; wider vectors reduce first.
+    Val partial = (U == 1 ? sum.get() : kb.reduce_add(sum.get())) + rem.get();
     Val zero = kb.c32(0);
     Val prev = kb.load(out, zero);
     kb.store(out, zero, prev + partial);

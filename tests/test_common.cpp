@@ -18,15 +18,6 @@ namespace {
 
 // ---- stats ----------------------------------------------------------------
 
-TEST(Stats, MeanBasic) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
-TEST(Stats, MeanEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
 TEST(Stats, GeomeanBasic) {
   const std::vector<double> xs{1, 4};
   EXPECT_DOUBLE_EQ(geomean(xs), 2.0);
@@ -49,68 +40,10 @@ TEST(Stats, GeomeanEmptyIsZero) {
 TEST(Stats, MaxMin) {
   const std::vector<double> xs{3, -1, 7, 2};
   EXPECT_DOUBLE_EQ(max_of(xs), 7);
-  EXPECT_DOUBLE_EQ(min_of(xs), -1);
 }
 
 TEST(Stats, MaxOfEmptyThrows) {
   EXPECT_THROW(max_of(std::vector<double>{}), Error);
-  EXPECT_THROW(min_of(std::vector<double>{}), Error);
-}
-
-TEST(Stats, StddevConstantIsZero) {
-  const std::vector<double> xs{5, 5, 5};
-  EXPECT_DOUBLE_EQ(stddev(xs), 0.0);
-}
-
-TEST(Stats, StddevKnown) {
-  const std::vector<double> xs{2, 4, 4, 4, 5, 5, 7, 9};
-  EXPECT_NEAR(stddev(xs), 2.0, 1e-12);
-}
-
-TEST(Stats, PercentileEndpoints) {
-  const std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> xs{0, 10};
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 5);
-}
-
-TEST(Stats, PercentileUnsortedInput) {
-  const std::vector<double> xs{30, 10, 20};
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 20);
-}
-
-TEST(Stats, PercentileRejectsBadP) {
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW(percentile(xs, -1), Error);
-  EXPECT_THROW(percentile(xs, 101), Error);
-}
-
-TEST(Stats, PercentileEmptyThrows) {
-  EXPECT_THROW(percentile(std::vector<double>{}, 50), Error);
-}
-
-TEST(Stats, RunningStatsBasics) {
-  RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  rs.add(2);
-  rs.add(4);
-  rs.add(-1);
-  EXPECT_EQ(rs.count(), 3u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 5.0 / 3.0);
-  EXPECT_DOUBLE_EQ(rs.min(), -1);
-  EXPECT_DOUBLE_EQ(rs.max(), 4);
-  EXPECT_DOUBLE_EQ(rs.sum(), 5);
-}
-
-TEST(Stats, RunningStatsMinMaxNeedSamples) {
-  RunningStats rs;
-  EXPECT_THROW(rs.min(), Error);
-  EXPECT_THROW(rs.max(), Error);
 }
 
 // ---- strings --------------------------------------------------------------
@@ -182,7 +115,7 @@ TEST(BinnedSeries, AddPlacesInCorrectBin) {
   s.add(10, 5.0);
   EXPECT_DOUBLE_EQ(s.bin(0), 2.0);
   EXPECT_DOUBLE_EQ(s.bin(1), 5.0);
-  EXPECT_EQ(s.num_bins(), 2u);
+  EXPECT_DOUBLE_EQ(s.bin(2), 0.0);
 }
 
 TEST(BinnedSeries, BinBeyondEndIsZero) {
@@ -203,34 +136,22 @@ TEST(BinnedSeries, AddRangeWithinOneBin) {
   BinnedSeries s(100);
   s.add_range(10, 20, 7.0);
   EXPECT_DOUBLE_EQ(s.bin(0), 7.0);
-  EXPECT_EQ(s.num_bins(), 1u);
+  EXPECT_DOUBLE_EQ(s.bin(1), 0.0);
 }
 
 TEST(BinnedSeries, AddRangeEmptyIsNoop) {
   BinnedSeries s(10);
   s.add_range(20, 20, 5.0);
   s.add_range(30, 20, 5.0);
-  EXPECT_EQ(s.num_bins(), 0u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(s.bin(i), 0.0);
 }
 
 TEST(BinnedSeries, TotalConservedByAddRange) {
   BinnedSeries s(7);
   s.add_range(3, 100, 42.0);
-  EXPECT_NEAR(s.total(), 42.0, 1e-9);
-}
-
-TEST(BinnedSeries, RateDividesByWidth) {
-  BinnedSeries s(10);
-  s.add(0, 30.0);
-  EXPECT_DOUBLE_EQ(s.rate(0), 3.0);
-}
-
-TEST(BinnedSeries, Peak) {
-  BinnedSeries s(10);
-  EXPECT_DOUBLE_EQ(s.peak(), 0.0);
-  s.add(0, 3.0);
-  s.add(15, 9.0);
-  EXPECT_DOUBLE_EQ(s.peak(), 9.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i <= 99 / 7; ++i) total += s.bin(i);
+  EXPECT_NEAR(total, 42.0, 1e-9);
 }
 
 // ---- RNG ------------------------------------------------------------------
@@ -321,12 +242,12 @@ TEST(Json, WriterEmitsNestedDocument) {
   w.key("jobs").begin_array();
   w.begin_object().field("i", 0).end_object();
   w.value(2.5);
-  w.null();
+  w.value(false);
   w.end_array();
   w.end_object();
   EXPECT_EQ(w.str(),
             "{\"name\":\"batch\",\"ok\":true,\"cycles\":123,"
-            "\"jobs\":[{\"i\":0},2.5,null]}");
+            "\"jobs\":[{\"i\":0},2.5,false]}");
 }
 
 TEST(Json, WriterRejectsIncompleteDocument) {
@@ -341,127 +262,6 @@ TEST(Json, DoublesRoundTripExactly) {
   const std::string s = w.str();
   EXPECT_NE(s.find("0.1"), std::string::npos);
   EXPECT_NE(s.find("1e+300"), std::string::npos);
-}
-
-// ---- reader ----------------------------------------------------------------
-
-TEST(Json, ParsesScalars) {
-  EXPECT_TRUE(json_parse("null").is_null());
-  EXPECT_EQ(json_parse("true").as_bool(), true);
-  EXPECT_EQ(json_parse("false").as_bool(), false);
-  EXPECT_EQ(json_parse("42").as_int64(), 42);
-  EXPECT_EQ(json_parse("-7").as_int64(), -7);
-  EXPECT_DOUBLE_EQ(json_parse("2.5e3").as_double(), 2500.0);
-  EXPECT_EQ(json_parse("\"hi\"").as_string(), "hi");
-  EXPECT_EQ(json_parse("  \"pad\"  ").as_string(), "pad")
-      << "surrounding whitespace is fine";
-}
-
-TEST(Json, IntegerExactnessIsTracked) {
-  // Written as an integer: as_int64 works, as_double too.
-  const JsonValue i = json_parse("9007199254740993");  // > 2^53
-  EXPECT_EQ(i.as_int64(), 9007199254740993LL);
-  // Written with a fraction/exponent: integers are not recoverable.
-  EXPECT_THROW(json_parse("2.0").as_int64(), Error);
-  EXPECT_THROW(json_parse("1e2").as_int64(), Error);
-}
-
-TEST(Json, ParsesNestedStructures) {
-  const JsonValue v = json_parse(
-      "{\"a\":[1,2,{\"b\":null}],\"c\":{\"d\":true},\"e\":\"x\"}");
-  ASSERT_TRUE(v.is_object());
-  const JsonValue* a = v.find("a");
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->items().size(), 3u);
-  EXPECT_EQ(a->items()[0].as_int64(), 1);
-  EXPECT_TRUE(a->items()[2].find("b")->is_null());
-  EXPECT_EQ(v.find("c")->find("d")->as_bool(), true);
-  EXPECT_EQ(v.find("missing"), nullptr);
-  EXPECT_EQ(v.members().size(), 3u);
-}
-
-TEST(Json, DecodesStringEscapes) {
-  EXPECT_EQ(json_parse("\"a\\n\\t\\\"\\\\\\/b\"").as_string(),
-            "a\n\t\"\\/b");
-  // \u0041 = 'A'; \u00e9 = é (2-byte UTF-8).
-  EXPECT_EQ(json_parse("\"\\u0041\\u00e9\"").as_string(), "A\xc3\xa9");
-  // Surrogate pair: U+1F600 -> 4-byte UTF-8.
-  EXPECT_EQ(json_parse("\"\\ud83d\\ude00\"").as_string(),
-            "\xf0\x9f\x98\x80");
-}
-
-TEST(Json, WriterOutputRoundTripsThroughParser) {
-  JsonWriter w;
-  w.begin_object();
-  w.field("name", std::string("line1\nline2 \"quoted\" \x01"));
-  w.field("count", std::int64_t(123));
-  w.field("ratio", 0.25);
-  w.key("list").begin_array().value(true).null().end_array();
-  w.end_object();
-
-  const JsonValue v = json_parse(w.str());
-  EXPECT_EQ(v.find("name")->as_string(), "line1\nline2 \"quoted\" \x01");
-  EXPECT_EQ(v.find("count")->as_int64(), 123);
-  EXPECT_DOUBLE_EQ(v.find("ratio")->as_double(), 0.25);
-  EXPECT_EQ(v.find("list")->items().size(), 2u);
-}
-
-TEST(Json, RejectsMalformedInput) {
-  EXPECT_THROW(json_parse(""), Error);
-  EXPECT_THROW(json_parse("{"), Error);
-  EXPECT_THROW(json_parse("{\"a\":}"), Error);
-  EXPECT_THROW(json_parse("[1,]"), Error);
-  EXPECT_THROW(json_parse("{\"a\":1,}"), Error);
-  EXPECT_THROW(json_parse("'single'"), Error);
-  EXPECT_THROW(json_parse("01"), Error);
-  EXPECT_THROW(json_parse("1."), Error);
-  EXPECT_THROW(json_parse("+1"), Error);
-  EXPECT_THROW(json_parse("nulL"), Error);
-  EXPECT_THROW(json_parse("\"unterminated"), Error);
-  EXPECT_THROW(json_parse("\"bad\\q\""), Error);
-  EXPECT_THROW(json_parse("\"half pair \\ud83d\""), Error);
-  EXPECT_THROW(json_parse("{} extra"), Error) << "trailing bytes";
-}
-
-TEST(Json, RejectsRunawayNesting) {
-  std::string deep;
-  for (int i = 0; i < 100; ++i) deep += '[';
-  EXPECT_THROW(json_parse(deep), Error);
-}
-
-TEST(Json, AccessorsEnforceKinds) {
-  EXPECT_THROW(json_parse("1").as_string(), Error);
-  EXPECT_THROW(json_parse("\"x\"").as_double(), Error);
-  EXPECT_THROW(json_parse("[]").as_bool(), Error);
-  EXPECT_THROW(json_parse("{}").items(), Error);
-}
-
-TEST(Json, Uint64AboveInt64MaxRoundTripsExactly) {
-  // Batch seeds are full-range uint64 and reports carry them as JSON
-  // integers — values above int64::max must survive a write/parse cycle
-  // bit-exact, not through a double.
-  const std::uint64_t big = 12345678901234567890ull;  // > int64::max
-  JsonWriter w;
-  w.begin_object();
-  w.field("seed", big);
-  w.end_object();
-  const JsonValue v = json_parse(w.str());
-  EXPECT_EQ(v.find("seed")->as_uint64(), big);
-  EXPECT_THROW(v.find("seed")->as_int64(), Error) << "does not fit int64";
-
-  EXPECT_EQ(json_parse("18446744073709551615").as_uint64(), UINT64_MAX);
-  EXPECT_EQ(JsonValue::make_uint(big).as_uint64(), big);
-}
-
-TEST(Json, Uint64AccessorEnforcesRangeAndExactness) {
-  // int64-range integers come out of either accessor.
-  EXPECT_EQ(json_parse("42").as_uint64(), 42u);
-  EXPECT_EQ(json_parse("42").as_int64(), 42);
-  // Negatives, fractions, and beyond-uint64 values are not uint64.
-  EXPECT_THROW(json_parse("-1").as_uint64(), Error);
-  EXPECT_THROW(json_parse("2.0").as_uint64(), Error);
-  EXPECT_THROW(json_parse("18446744073709551616").as_uint64(), Error)
-      << "uint64::max + 1 degrades to double; exact accessor must refuse";
 }
 
 }  // namespace

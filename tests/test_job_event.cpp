@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
+#include "json_reader.hpp"
 #include "runner/runner.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"

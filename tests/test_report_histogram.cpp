@@ -1,5 +1,5 @@
 // Tests for the HLS textual report and the Paraver-style duration
-// histogram / per-thread table analyses.
+// histogram analysis.
 #include <gtest/gtest.h>
 
 #include "core/hlsprof.hpp"
@@ -94,16 +94,6 @@ TEST(Histogram, RealTraceSpinDurations) {
   }
   EXPECT_EQ(sum, cycle_t(h.total_intervals));
   EXPECT_EQ(h.total_cycles, r.timeline.state_cycles(ThreadState::critical));
-}
-
-TEST(PerThreadTable, FractionsSumToOne) {
-  const auto rows = paraver::per_thread_table(synth());
-  ASSERT_EQ(rows.size(), 2u);
-  for (const auto& r : rows) {
-    EXPECT_NEAR(r.idle + r.running + r.critical + r.spinning, 1.0, 1e-9);
-  }
-  EXPECT_NEAR(rows[0].running, 0.8, 1e-9);
-  EXPECT_NEAR(rows[1].spinning, 0.064, 1e-9);
 }
 
 }  // namespace

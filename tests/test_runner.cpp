@@ -3,9 +3,12 @@
 // fault isolation, deterministic seeding, timeouts, manifests, reports.
 #include <gtest/gtest.h>
 
+#include <pty.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +22,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
+#include "json_reader.hpp"
 #include "core/hlsprof.hpp"
 #include "runner/runner.hpp"
 #include "workloads/gemm.hpp"
@@ -213,7 +216,7 @@ TEST(RunnerCache, SharedCachePersistsAcrossBatches) {
   EXPECT_EQ(second.cache_misses, 0);
   EXPECT_EQ(second.cache_hits, 1);
   EXPECT_EQ(second.jobs[0].kernel_cycles, first.jobs[0].kernel_cycles);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 1);  // one design compiled, held once
 }
 
 // ---- fault isolation -------------------------------------------------------
@@ -507,6 +510,126 @@ TEST(RunnerCli, ApproxTraceStaysWithinHalfPercentOfExact) {
   }
 }
 
+TEST(RunnerCli, PiWithOneLaneRunsAndVerifies) {
+  // unroll = 1 builds a scalar accumulator; verify (on by default) fails
+  // the job unless the result is within the pi tolerance.
+  const std::filesystem::path manifest =
+      std::filesystem::path(testing::TempDir()) / "pi_one_lane.manifest";
+  std::ofstream(manifest)
+      << "workload = pi\nsteps = 64\nthreads = 1\nunroll = 1\n";
+  const JsonValue report = json_parse(command_stdout(
+      std::string(HLSPROF_RUN_BIN) + " " + manifest.string() +
+      " --json --quiet"));
+  const std::vector<JsonValue>& jobs = report.find("jobs")->items();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].find("status")->as_string(), "ok")
+      << jobs[0].find("error")->as_string();
+}
+
+TEST(RunnerCli, WarmDesignCacheCompilesNothingAndKeepsBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "hlsprof_cli_warm";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // Two runs of one manifest on one --cache-dir; returns the telemetry
+  // snapshot of the run.
+  const auto run = [&](const std::string& tag) {
+    const fs::path telemetry = dir / (tag + ".snapshot.json");
+    command_stdout(std::string(HLSPROF_RUN_BIN) + " " + HLSPROF_MANIFEST_DIR +
+                   "/gemm_threads.manifest --workers=2 --canonical --quiet"
+                   " --cache-dir=" + (dir / "store").string() +
+                   " --out=" + (dir / tag).string() +
+                   " --telemetry-out=" + telemetry.string());
+    return json_parse(slurp(telemetry));
+  };
+  const auto counter = [](const JsonValue& snap, const char* name) {
+    const JsonValue* c = snap.find("counters")->find(name);
+    return c == nullptr ? 0 : c->find("value")->as_int64();
+  };
+  const JsonValue cold = run("cold");
+  const JsonValue warm = run("warm");
+  constexpr std::int64_t kJobs = 5;  // threads = 1,2,4,8,16
+  EXPECT_EQ(counter(cold, "hls.compiles"), kJobs);
+  EXPECT_EQ(counter(cold, "cache.disk_misses"), kJobs);
+  EXPECT_GT(counter(cold, "cache.bytes_written"), 0);
+  // Every design of the warm run comes off the disk tier.
+  EXPECT_EQ(counter(warm, "hls.compiles"), 0);
+  EXPECT_EQ(counter(warm, "cache.disk_hits"), kJobs);
+  EXPECT_EQ(counter(warm, "cache.disk_misses"), 0);
+  const std::string cold_json = slurp(dir / "cold.json");
+  EXPECT_FALSE(cold_json.empty());
+  EXPECT_EQ(cold_json, slurp(dir / "warm.json"));
+  EXPECT_EQ(slurp(dir / "cold.csv"), slurp(dir / "warm.csv"));
+}
+
+/// Runs `args` on a new 80x24 pseudo-terminal and returns what it wrote
+/// there (stdout and stderr both); fails the test unless it exits 0.
+std::string pty_output(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  winsize size{};
+  size.ws_row = 24;
+  size.ws_col = 80;
+  int master = -1;
+  const pid_t pid = ::forkpty(&master, nullptr, nullptr, &size);
+  if (pid == 0) {
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  EXPECT_GT(pid, 0);
+  if (pid < 0) return std::string();
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::read(master, buf, sizeof(buf));
+    if (n > 0) {
+      out.append(buf, std::size_t(n));
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;  // EOF, or EIO once the child has closed the terminal
+    }
+  }
+  ::close(master);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+  return out;
+}
+
+TEST(RunnerCli, LiveDrawsOnlyOnATerminalAndKeepsBytes) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "hlsprof_cli_live";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string manifest =
+      std::string(HLSPROF_MANIFEST_DIR) + "/pi_sampling.manifest";
+  const std::string run = std::string(HLSPROF_RUN_BIN) + " " + manifest +
+                          " --workers=2 --canonical --out=";
+  command_stdout(run + (dir / "base").string() + " --quiet");
+
+  // stderr is a file, not a terminal: --live draws nothing there.
+  command_stdout(run + (dir / "pipe").string() + " --live 2>" +
+                 (dir / "pipe.err").string());
+  EXPECT_EQ(slurp(dir / "pipe.err").find('\x1b'), std::string::npos);
+
+  // On a terminal the frames redraw their lines in place.
+  const std::string screen =
+      pty_output({HLSPROF_RUN_BIN, manifest, "--workers=2", "--canonical",
+                  "--live", "--out=" + (dir / "pty").string()});
+  EXPECT_NE(screen.find("\x1b[2K"), std::string::npos) << screen;
+
+  // Either way the reports are the bytes of a run without --live.
+  const std::string base_json = slurp(dir / "base.json");
+  const std::string base_csv = slurp(dir / "base.csv");
+  EXPECT_FALSE(base_json.empty());
+  for (const char* tag : {"pipe", "pty"}) {
+    EXPECT_EQ(slurp(dir / (std::string(tag) + ".json")), base_json) << tag;
+    EXPECT_EQ(slurp(dir / (std::string(tag) + ".csv")), base_csv) << tag;
+  }
+}
+
 /// Returns the message a parse failure produces (fails the test if the
 /// manifest parses).
 std::string manifest_error(const std::string& text) {
@@ -581,6 +704,11 @@ TEST(RunnerManifest, ErrorsNameTheLineAndOffendingKey) {
   // The kernel holds `steps` in 32 bits: 2^32 + 16 would run as 16 steps.
   msg = manifest_error("workload = pi\nsteps = 4294967312\n");
   EXPECT_NE(msg.find("manifest:2: key 'steps': must be <= 2147483647"),
+            std::string::npos)
+      << msg;
+  // pi's unroll is its vector width.
+  msg = manifest_error("workload = pi\nunroll = 8,17\n");
+  EXPECT_NE(msg.find("manifest:2: key 'unroll': must be <= 16"),
             std::string::npos)
       << msg;
   msg = manifest_error("workload = gemm\nthreads = 4,0\n");

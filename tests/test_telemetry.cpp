@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -15,129 +14,27 @@
 #include <vector>
 
 #include "common/build_info.hpp"
+#include "common/error.hpp"
 #include "runner/manifest.hpp"
 #include "runner/runner.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
+#include "json_reader.hpp"
 
 namespace hlsprof {
 namespace {
 
-// ---- minimal JSON syntax checker -------------------------------------------
-// Just enough of a recursive-descent parser to assert the exporters emit
-// well-formed JSON (balanced structure, legal literals) without pulling
-// in a JSON library.
-
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!expect(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek('}')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek(']')) return true;
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek(']')) return true;
-      if (!expect(',')) return false;
-    }
-  }
-
-  bool string() {
-    if (pos_ >= s_.size() || s_[pos_] != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        ++pos_;  // accept any escape head; \uXXXX hex digits pass as chars
-      }
-    }
-    return false;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    for (const char* p = word; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= s_.size() || s_[pos_] != *p) return false;
-    }
+/// True when `text` is one well-formed JSON document.
+bool json_ok(const std::string& text) {
+  try {
+    json_parse(text);
     return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool peek(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
+  } catch (const Error&) {
     return false;
   }
-  bool expect(char c) { return peek(c); }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-bool json_ok(const std::string& text) { return JsonChecker(text).valid(); }
+}
 
 runner::JobSpec vecadd_job(std::int64_t n) {
   runner::JobSpec spec;
@@ -370,7 +267,7 @@ TEST(TelemetryExport, SnapshotJsonIsValidAndCarriesBuildInfo) {
   reg.histogram("exp.hist", {1.0, 2.0}).observe(1.5);
   { telemetry::Span span(reg, "exp.span", "test"); }
 
-  const std::string json = telemetry::snapshot_json(reg);
+  const std::string json = telemetry::snapshot_json(reg.snapshot());
   EXPECT_TRUE(json_ok(json)) << json;
   EXPECT_NE(json.find("\"hlsprof-telemetry\""), std::string::npos);
   EXPECT_NE(json.find("\"exp.count\""), std::string::npos);
@@ -385,7 +282,7 @@ TEST(TelemetryExport, ChromeTraceJsonIsValidAndNamesTracks) {
   reg.record_span_on(track, "phase.q", "test", 100, 250);
   reg.gauge("exp.level").set(2.0);
 
-  const std::string json = telemetry::chrome_trace_json(reg);
+  const std::string json = telemetry::chrome_trace_json(reg.snapshot());
   EXPECT_TRUE(json_ok(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
@@ -474,8 +371,8 @@ TEST(TelemetryDeterminism, CacheCountersMatchCacheStats) {
   EXPECT_GE(reg.counter("hls.compiles").value(), 2);
 
   // And the whole thing exports as valid JSON.
-  EXPECT_TRUE(json_ok(telemetry::snapshot_json(reg)));
-  EXPECT_TRUE(json_ok(telemetry::chrome_trace_json(reg)));
+  EXPECT_TRUE(json_ok(telemetry::snapshot_json(reg.snapshot())));
+  EXPECT_TRUE(json_ok(telemetry::chrome_trace_json(reg.snapshot())));
   reg.enable(false);
   reg.reset_values();
 }

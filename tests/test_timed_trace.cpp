@@ -126,10 +126,10 @@ TEST(TimedTrace, EventTotalsAndSeries) {
   EXPECT_EQ(t.event_total(EventKind::bytes_read), 35u);
   EXPECT_EQ(t.event_total(EventKind::fp_ops), 99u);
   EXPECT_EQ(t.event_total(EventKind::stall_cycles), 0u);
-  const auto series = t.event_series(EventKind::bytes_read);
-  ASSERT_EQ(series.size(), 2u);
-  EXPECT_EQ(series[0], (std::pair<cycle_t, std::uint64_t>{0, 15}));
-  EXPECT_EQ(series[1], (std::pair<cycle_t, std::uint64_t>{100, 20}));
+  // The per-window series keeps each sample at its window start.
+  ASSERT_EQ(t.events.size(), 4u);
+  EXPECT_EQ(t.events[2].t, 100u);
+  EXPECT_EQ(t.events[2].value, 20u);
 }
 
 TEST(TimedTrace, RunEndExtendsLastInterval) {

@@ -177,6 +177,14 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, PackingTest,
 
 // ---- clock unwrapping -------------------------------------------------------
 
+/// Feed `clocks` through one ClockUnwrapper, as the decoder does.
+std::vector<cycle_t> unwrap_clocks(const std::vector<std::uint32_t>& clocks) {
+  ClockUnwrapper u;
+  std::vector<cycle_t> out;
+  for (std::uint32_t c : clocks) out.push_back(u.feed(c));
+  return out;
+}
+
 TEST(Unwrap, MonotonicPassThrough) {
   const auto out = unwrap_clocks({0, 10, 20, 100});
   EXPECT_EQ(out, (std::vector<cycle_t>{0, 10, 20, 100}));
@@ -221,32 +229,6 @@ TEST(Unwrap, BackwardsAtZeroClamps) {
 }
 
 TEST(Unwrap, Empty) { EXPECT_TRUE(unwrap_clocks({}).empty()); }
-
-TEST(Unwrap, SeededStartPastAWrapStaysMonotone) {
-  // A consumer joining a stream whose clock has already wrapped twice
-  // seeds the unwrapper with the known cycle; subsequent 32-bit clocks
-  // unwrap relative to it instead of restarting below 2^32.
-  const cycle_t known = (cycle_t(2) << 32) + 12345;
-  ClockUnwrapper u;
-  u.seed(known);
-  EXPECT_TRUE(u.seeded());
-  EXPECT_EQ(u.feed(std::uint32_t((known + 100) & 0xffffffffULL)), known + 100);
-  EXPECT_EQ(u.feed(std::uint32_t((known + 250) & 0xffffffffULL)), known + 250);
-}
-
-TEST(Unwrap, SeedCrossingTheNextWrapBoundary) {
-  // Seed just below a wrap boundary; the next clock is past it.
-  const cycle_t known = (cycle_t(3) << 32) - 8;
-  ClockUnwrapper u;
-  u.seed(known);
-  EXPECT_EQ(u.feed(std::uint32_t((known + 40) & 0xffffffffULL)), known + 40);
-}
-
-TEST(Unwrap, SeedAfterFirstClockThrows) {
-  ClockUnwrapper u;
-  u.feed(10);
-  EXPECT_THROW(u.seed(1000), Error);
-}
 
 }  // namespace
 }  // namespace hlsprof::trace

@@ -285,29 +285,6 @@ TEST(StreamingClocks, WrapSpanningChunkBoundaryStaysMonotone) {
   EXPECT_EQ(sink.out.state_clocks[1], cycle_t(0xFFFFFFF0u) + 0x20);
 }
 
-TEST(StreamingClocks, SeededDecoderUnwrapsFirstChunkPastTheWrap) {
-  // A consumer attaching to a stream whose first line was written after a
-  // full 32-bit wrap seeds the unwrapper with the known cycle count; the
-  // unwrapped clocks continue above 2^32 instead of restarting near zero.
-  const cycle_t wrapped = (cycle_t(1) << 32) + 500;
-  const auto line = one_state_line(8, std::uint32_t(wrapped + 40));
-  Collect sink;
-  StreamingDecoder dec(8, sink);
-  dec.seed_clock(wrapped);
-  dec.feed(line.data(), line.size());
-  dec.finish();
-  ASSERT_EQ(sink.out.state_clocks.size(), 1u);
-  EXPECT_EQ(sink.out.state_clocks[0], wrapped + 40);
-}
-
-TEST(StreamingClocks, SeedAfterFirstClockRejected) {
-  const auto line = one_state_line(8, 1);
-  Collect sink;
-  StreamingDecoder dec(8, sink);
-  dec.feed(line.data(), line.size());
-  EXPECT_THROW(dec.seed_clock(99), Error);
-}
-
 // ---- streaming timeline construction ---------------------------------------
 
 TEST(StreamingTimeline, DecoderIntoBuilderMatchesBatchBuild) {
