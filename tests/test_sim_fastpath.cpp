@@ -5,51 +5,21 @@
 // identical output buffers, and byte-identical Paraver .prv/.pcf/.row
 // text — on every example workload and on randomized designs mixing
 // thread counts, lock patterns, and barrier/critical interleavings.
+// tests/golden/sim_oracle.txt (test_sim_oracle.cpp) pins the values
+// themselves.
 #include <gtest/gtest.h>
 
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/hlsprof.hpp"
-#include "ir/builder.hpp"
 #include "paraver/writer.hpp"
-#include "workloads/gemm.hpp"
-#include "workloads/pi.hpp"
+#include "sim_cases.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
 
 namespace hlsprof {
 namespace {
-
-/// Host buffers for one run. The bound spans point into these vectors, so
-/// they must outlive Simulator::run(); buffers registered through `out()`
-/// are the ones whose *post-run* contents the test compares between modes.
-class HostBufs {
- public:
-  std::vector<float>& in(std::vector<float> v) {
-    bufs_.push_back(std::move(v));
-    return bufs_.back();
-  }
-  std::vector<float>& out(std::vector<float> v) {
-    bufs_.push_back(std::move(v));
-    out_idx_.push_back(bufs_.size() - 1);
-    return bufs_.back();
-  }
-  std::vector<std::vector<float>> outputs() const {
-    std::vector<std::vector<float>> o;
-    for (std::size_t i : out_idx_) o.push_back(bufs_[i]);
-    return o;
-  }
-
- private:
-  std::deque<std::vector<float>> bufs_;  // stable addresses across pushes
-  std::vector<std::size_t> out_idx_;
-};
-
-using Binder = std::function<void(sim::Simulator&, HostBufs&)>;
 
 struct ModeRun {
   sim::SimResult sim;
@@ -57,12 +27,6 @@ struct ModeRun {
   sim::Simulator::FastPathStats fast;
   std::vector<std::vector<float>> outputs;
 };
-
-sim::SimParams quick_params() {
-  sim::SimParams p;
-  p.host.thread_start_interval = 1000;  // keep tiny workloads fast
-  return p;
-}
 
 ModeRun run_mode(const std::shared_ptr<const hls::Design>& design,
                  const Binder& bind, const sim::SimParams& base,
@@ -115,11 +79,10 @@ void expect_same_result(const sim::SimResult& a, const sim::SimResult& b) {
 
 /// The core assertion: fast and reference runs of the same design agree on
 /// every observable — SimResult, output bytes, and Paraver text.
-void expect_modes_identical(ir::Kernel kernel, const Binder& bind,
-                            const sim::SimParams& base = quick_params()) {
-  auto design = core::compile_shared(std::move(kernel));
-  const ModeRun fast = run_mode(design, bind, base, /*reference=*/false);
-  const ModeRun ref = run_mode(design, bind, base, /*reference=*/true);
+void expect_modes_identical(const SimCase& c) {
+  auto design = core::compile_shared(c.kernel());
+  const ModeRun fast = run_mode(design, c.bind, c.params, /*reference=*/false);
+  const ModeRun ref = run_mode(design, c.bind, c.params, /*reference=*/true);
 
   expect_same_result(fast.sim, ref.sim);
 
@@ -140,75 +103,31 @@ void expect_modes_identical(ir::Kernel kernel, const Binder& bind,
 // ---- Example workloads -----------------------------------------------------
 
 TEST(SimFastPath, VecAddMatchesReference) {
-  const std::int64_t n = 512;
-  expect_modes_identical(workloads::vecadd(n, 4, 1),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.bind_f32("x", h.in(workloads::random_vector(n, 11)));
-                           s.bind_f32("y", h.in(workloads::random_vector(n, 12)));
-                           s.bind_f32("z", h.out(std::vector<float>(std::size_t(n))));
-                         });
+  expect_modes_identical(example_case("vecadd"));
 }
 
 TEST(SimFastPath, VectorizedVecAddMatchesReference) {
-  const std::int64_t n = 512;
-  expect_modes_identical(workloads::vecadd(n, 2, 4),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.bind_f32("x", h.in(workloads::random_vector(n, 21)));
-                           s.bind_f32("y", h.in(workloads::random_vector(n, 22)));
-                           s.bind_f32("z", h.out(std::vector<float>(std::size_t(n))));
-                         });
+  expect_modes_identical(example_case("vecadd_v4"));
 }
 
 TEST(SimFastPath, DotCriticalReductionMatchesReference) {
-  const std::int64_t n = 768;
-  expect_modes_identical(workloads::dot(n, 4),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.bind_f32("x", h.in(workloads::random_vector(n, 31)));
-                           s.bind_f32("y", h.in(workloads::random_vector(n, 32)));
-                           s.bind_f32("out", h.out(std::vector<float>(1, 0.0f)));
-                         });
+  expect_modes_identical(example_case("dot_critical"));
 }
 
 TEST(SimFastPath, StencilMatchesReference) {
-  const std::int64_t n = 600;
-  expect_modes_identical(workloads::stencil3(n, 3),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.bind_f32("x", h.in(workloads::random_vector(n, 41)));
-                           s.bind_f32("y", h.out(std::vector<float>(std::size_t(n))));
-                         });
+  expect_modes_identical(example_case("stencil"));
 }
 
 TEST(SimFastPath, BarrierPhasesMatchesReference) {
-  const std::int64_t n = 256;
-  expect_modes_identical(workloads::barrier_phases(n, 4),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.bind_f32("x", h.in(workloads::random_vector(n, 51)));
-                           s.bind_f32("z", h.out(std::vector<float>(std::size_t(n))));
-                           s.bind_f32("w", h.out(std::vector<float>(std::size_t(n))));
-                         });
+  expect_modes_identical(example_case("barrier_phases"));
 }
 
 TEST(SimFastPath, Jacobi2dMatchesReference) {
-  const int n = 16;
-  expect_modes_identical(
-      workloads::jacobi2d(n, /*iters=*/4, /*threads=*/4),
-      [&](sim::Simulator& s, HostBufs& h) {
-        s.bind_f32("u", h.out(workloads::random_vector(std::int64_t(n) * n, 61,
-                                                       0.f, 1.f)));
-      });
+  expect_modes_identical(example_case("jacobi2d"));
 }
 
 TEST(SimFastPath, PiSeriesMatchesReference) {
-  workloads::PiConfig cfg;
-  cfg.steps = 4096;
-  cfg.threads = 8;
-  cfg.unroll = 4;
-  expect_modes_identical(workloads::pi_series(cfg),
-                         [&](sim::Simulator& s, HostBufs& h) {
-                           s.set_arg("steps", std::int64_t(cfg.steps));
-                           s.set_arg("inv_steps", 1.0 / double(cfg.steps));
-                           s.bind_f32("out", h.out(std::vector<float>(1, 0.0f)));
-                         });
+  expect_modes_identical(example_case("pi"));
 }
 
 // Every GEMM version from the paper's optimization journey, including the
@@ -217,21 +136,7 @@ TEST(SimFastPath, PiSeriesMatchesReference) {
 class GemmVersionDiff : public ::testing::TestWithParam<int> {};
 
 TEST_P(GemmVersionDiff, MatchesReference) {
-  workloads::GemmConfig cfg;
-  cfg.dim = 16;
-  cfg.threads = 4;
-  cfg.block = 8;
-  ir::Kernel k = GetParam() < int(workloads::gemm_versions().size())
-                     ? workloads::gemm_versions()[std::size_t(GetParam())]
-                           .build(cfg)
-                     : workloads::gemm_preloaded(cfg);
-  const std::int64_t nn = std::int64_t(cfg.dim) * cfg.dim;
-  expect_modes_identical(
-      std::move(k), [&](sim::Simulator& s, HostBufs& h) {
-        s.bind_f32("A", h.in(workloads::random_matrix(cfg.dim, 71)));
-        s.bind_f32("B", h.in(workloads::random_matrix(cfg.dim, 72)));
-        s.bind_f32("C", h.out(std::vector<float>(std::size_t(nn), 0.0f)));
-      });
+  expect_modes_identical(example_case("gemm_v" + std::to_string(GetParam())));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVersions, GemmVersionDiff,
@@ -274,75 +179,10 @@ TEST(SimFastPath, MultiThreadStillBatchesAndDispatches) {
 
 // ---- Randomized designs -----------------------------------------------------
 
-/// A random kernel mixing the shapes that stress event ordering: strided
-/// external loops, critical sections on random lock ids, barriers between
-/// phases, and per-thread partial accumulation — the interleavings where a
-/// wrong dispatch/batching rule would reorder commits.
-ir::Kernel random_kernel(std::uint64_t seed) {
-  SplitMix64 rng(seed);
-  const int threads = 1 + int(rng.next_below(6));  // 1..6
-  const int locks = 1 + int(rng.next_below(3));    // 1..3
-  const std::int64_t n = 64 + std::int64_t(rng.next_below(4)) * 64;
-  const int phases = 2 + int(rng.next_below(3));  // 2..4
-
-  ir::KernelBuilder kb("rand" + std::to_string(seed), threads);
-  auto x = kb.ptr_arg("x", ir::Type::f32(), ir::MapDir::to, n);
-  auto y = kb.ptr_arg("y", ir::Type::f32(), ir::MapDir::tofrom, n);
-  auto acc = kb.ptr_arg("acc", ir::Type::f32(), ir::MapDir::tofrom, locks);
-  ir::Val tid = kb.thread_id();
-  ir::Val nt = kb.num_threads_val();
-
-  for (int ph = 0; ph < phases; ++ph) {
-    switch (rng.next_below(3)) {
-      case 0: {  // strided elementwise update
-        kb.for_loop("i" + std::to_string(ph), tid, kb.c32(n), nt,
-                    [&](ir::Val i) {
-                      ir::Val v = kb.load(x, i) + kb.load(y, i);
-                      kb.store(y, i, v);
-                    });
-        break;
-      }
-      case 1: {  // partial sum merged under a random lock
-        const int lock = int(rng.next_below(std::uint64_t(locks)));
-        auto part = kb.var_init("p" + std::to_string(ph), kb.cf32(0.0));
-        kb.for_loop("j" + std::to_string(ph), tid, kb.c32(n), nt,
-                    [&](ir::Val j) { part.set(part.get() + kb.load(x, j)); });
-        kb.critical(lock, [&] {
-          ir::Val idx = kb.c32(lock);
-          kb.store(acc, idx, kb.load(acc, idx) + part.get());
-        });
-        break;
-      }
-      default: {  // neighbour read that is only safe behind a barrier
-        kb.barrier();
-        kb.for_loop("k" + std::to_string(ph), tid, kb.c32(n - 1), nt,
-                    [&](ir::Val k) {
-                      kb.store(y, k,
-                               kb.load(y, k + std::int64_t{1}) * 0.5 +
-                                   kb.load(x, k));
-                    });
-        kb.barrier();
-        break;
-      }
-    }
-  }
-  return std::move(kb).finish();
-}
-
 class RandomDesignDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDesignDiff, MatchesReference) {
-  const std::uint64_t seed = GetParam();
-  ir::Kernel k = random_kernel(seed);
-  const std::int64_t n = k.args[0].count;  // "x"
-  const std::int64_t locks = k.args[2].count;
-  expect_modes_identical(
-      std::move(k), [&](sim::Simulator& s, HostBufs& h) {
-        s.bind_f32("x", h.in(workloads::random_vector(n, seed * 2 + 1)));
-        s.bind_f32("y", h.out(workloads::random_vector(n, seed * 2 + 2)));
-        s.bind_f32("acc",
-                   h.out(std::vector<float>(std::size_t(locks), 0.0f)));
-      });
+  expect_modes_identical(random_case(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDesignDiff,
@@ -355,22 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDesignDiff,
 class RandomParamsDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomParamsDiff, DotUnderRandomTimingMatchesReference) {
-  SplitMix64 rng(GetParam() * 977);
-  sim::SimParams p = quick_params();
-  p.dram.base_latency = 4 + cycle_t(rng.next_below(64));
-  p.dram.row_miss_penalty = cycle_t(rng.next_below(48));
-  p.dram.num_banks = 1 << rng.next_below(4);  // 1..8
-  p.host.thread_start_interval = 1 + cycle_t(rng.next_below(3000));
-  const std::int64_t n = 512;
-  const int threads = 1 << (1 + rng.next_below(3));  // 2, 4, or 8 (n | threads)
-  expect_modes_identical(
-      workloads::dot(n, threads),
-      [&](sim::Simulator& s, HostBufs& h) {
-        s.bind_f32("x", h.in(workloads::random_vector(n, 101)));
-        s.bind_f32("y", h.in(workloads::random_vector(n, 102)));
-        s.bind_f32("out", h.out(std::vector<float>(1, 0.0f)));
-      },
-      p);
+  expect_modes_identical(random_params_case(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomParamsDiff,
