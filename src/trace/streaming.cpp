@@ -75,6 +75,7 @@ StreamingDecoder::StreamingDecoder(int num_threads, RecordSink& sink)
       sink_(sink) {
   HLSPROF_CHECK(num_threads >= 1 && num_threads <= 64,
                 "StreamingDecoder thread count out of range");
+  state_.states.resize(std::size_t(num_threads));
 }
 
 int StreamingDecoder::decode_line(const std::uint8_t* line,
@@ -89,9 +90,8 @@ int StreamingDecoder::decode_line(const std::uint8_t* line,
   for (int r = 0; r < count; ++r) {
     const std::uint8_t tag = c.u8();
     if (tag == kTagState) {
-      StateRecord sr;
+      StateRecord& sr = state_;
       sr.clock32 = c.u32();
-      sr.states.resize(std::size_t(num_threads_));
       std::uint8_t packed = 0;
       int bits = 8;  // force initial fetch
       for (int t = 0; t < num_threads_; ++t) {

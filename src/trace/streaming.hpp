@@ -35,7 +35,8 @@ class FlushSink {
 };
 
 /// Consumer of decoded records, clocks already unwrapped to 64 bits.
-/// Records arrive in trace order (the order the encoder packed them).
+/// Records arrive in trace order (the order the encoder packed them). A
+/// record reference is valid for the call only; copy it to keep it.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -86,6 +87,9 @@ class StreamingDecoder final : public FlushSink {
   int max_records_;
   RecordSink& sink_;
   ClockUnwrapper unwrap_;
+  /// Reused for every state record: sinks get a reference that is valid
+  /// for the call only, so decoding allocates nothing per record.
+  StateRecord state_;
   std::array<std::uint8_t, kLineBytes> carry_{};
   std::size_t carry_n_ = 0;
   std::size_t consumed_ = 0;
