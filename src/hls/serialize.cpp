@@ -405,6 +405,14 @@ DesignStats dec_stats(ByteReader& r) {
 
 }  // namespace
 
+std::string encode_source(const ir::Kernel& kernel,
+                          const HlsOptions& options) {
+  ByteWriter w;
+  enc_kernel(w, kernel);
+  enc_options(w, options);
+  return w.take();
+}
+
 std::string serialize_design(const Design& d) {
   ByteWriter w;
   w.u32(kMagic).u32(kDesignFormatVersion);

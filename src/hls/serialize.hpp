@@ -31,6 +31,11 @@ inline constexpr std::uint32_t kDesignFormatVersion = 1;
 /// Encode a design to bytes (leads with magic + kDesignFormatVersion).
 std::string serialize_design(const Design& design);
 
+/// The exact binary encoding of a kernel and the options it compiles
+/// under — every input of compile() — as serialize_design writes them.
+/// runner::DesignCache keys on its hash.
+std::string encode_source(const ir::Kernel& kernel, const HlsOptions& options);
+
 /// Decode. Throws hlsprof::Error on any malformed input: bad magic,
 /// version mismatch, out-of-range enum/lane/opcode values, or truncated
 /// buffers (every read is bounds-checked).

@@ -4,53 +4,12 @@
 #include <utility>
 
 #include "common/hash.hpp"
-#include "ir/printer.hpp"
+#include "hls/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hlsprof::runner {
 
 namespace {
-
-void hash_area(Fnv1a64& h, const hls::Area& a) {
-  h.f64(a.alm).f64(a.ff).f64(a.dsp).f64(a.bram_bits);
-}
-
-// Every field of HlsOptions that influences compile() output must be fed
-// in here; a missed field would alias distinct designs onto one key.
-void hash_options(Fnv1a64& h, const hls::HlsOptions& o) {
-  const hls::ResourceLibrary& lib = o.lib;
-  h.i64(lib.lat_int_alu).i64(lib.lat_int_mul).i64(lib.lat_int_div);
-  h.i64(lib.lat_fadd).i64(lib.lat_fmul).i64(lib.lat_fdiv);
-  h.i64(lib.lat_cast).i64(lib.lat_local_mem).i64(lib.lat_shuffle);
-  h.i64(lib.lat_reduce_per_level).i64(lib.ext_assumed_min);
-  hash_area(h, lib.area_int_alu);
-  hash_area(h, lib.area_int_mul);
-  hash_area(h, lib.area_int_div);
-  hash_area(h, lib.area_fadd);
-  hash_area(h, lib.area_fmul);
-  hash_area(h, lib.area_fdiv);
-  hash_area(h, lib.area_cast);
-  hash_area(h, lib.area_shuffle);
-  hash_area(h, lib.area_mem_port);
-
-  const hls::InfraCosts& infra = o.infra;
-  hash_area(h, infra.platform_shell);
-  hash_area(h, infra.avalon_master_per_thread);
-  hash_area(h, infra.avalon_slave);
-  hash_area(h, infra.bus_per_port);
-  hash_area(h, infra.controller_per_stage);
-  hash_area(h, infra.hts_per_reordering_stage);
-  hash_area(h, infra.semaphore);
-  hash_area(h, infra.preloader);
-  h.f64(infra.ff_per_live_bit).f64(infra.alm_per_live_bit);
-  h.f64(infra.context_bram_bits_per_thread_bit);
-
-  const hls::FmaxModel& fmax = o.fmax;
-  h.f64(fmax.base_mhz).f64(fmax.alm_penalty_per_log2);
-  h.f64(fmax.port_penalty).f64(fmax.floor_mhz);
-
-  h.boolean(o.enable_preloader).boolean(o.thread_reordering);
-}
 
 /// Cache telemetry handles, resolved once per process. These aggregate
 /// over every DesignCache instance (the registry is process-wide).
@@ -75,14 +34,7 @@ struct CacheMetrics {
 
 std::uint64_t DesignCache::key_of(const ir::Kernel& kernel,
                                   const hls::HlsOptions& options) {
-  Fnv1a64 h;
-  h.str(ir::print(kernel));
-  // The printer focuses on the control/op structure; fold in the kernel
-  // header fields explicitly in case a future printer elides one.
-  h.str(kernel.name).i64(kernel.num_threads).i64(kernel.num_loops);
-  h.i64(kernel.num_locks);
-  hash_options(h, options);
-  return h.digest();
+  return fnv1a64(hls::encode_source(kernel, options));
 }
 
 DesignCache::Entry DesignCache::get_or_compile(

@@ -45,7 +45,9 @@ class DesignCache {
     bool disk_hit = false;  // in-memory miss satisfied by the disk tier
   };
 
-  /// Stable content key of (kernel IR, HLS options).
+  /// Stable content key of (kernel IR, HLS options): the FNV-1a hash of
+  /// their exact serialized encoding (hls::encode_source), so any two
+  /// inputs that could compile differently get different keys.
   static std::uint64_t key_of(const ir::Kernel& kernel,
                               const hls::HlsOptions& options);
 

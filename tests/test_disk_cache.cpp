@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <utime.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "frontend/lower.hpp"
 #include "hls/compiler.hpp"
 #include "hls/serialize.hpp"
+#include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "runner/design_cache.hpp"
 #include "runner/disk_store.hpp"
@@ -386,9 +388,9 @@ TEST(RunnerCacheKey, IdenticalContentBuiltTwiceYieldsSameKey) {
 }
 
 TEST(RunnerCacheKey, ReLoweredSourceYieldsSameKey) {
-  // The key is content-addressed over the IR dump, so lowering the same
-  // source twice — two fully independent front-end passes — must land on
-  // the same key, byte-identical dump included.
+  // The key is content-addressed over the serialized kernel, so lowering
+  // the same source twice — two fully independent front-end passes — must
+  // land on the same key, byte-identical dump included.
   constexpr const char* kSrc = R"(
 void scale(float* x, int n) {
   #pragma omp target parallel map(tofrom: x[0:64]) num_threads(4)
@@ -417,6 +419,31 @@ TEST(RunnerCacheKey, SerializeRoundTripPreservesKey) {
   const hls::Design d = hls::compile(gemm_kernel(4), opts);
   const hls::Design back = hls::deserialize_design(hls::serialize_design(d));
   EXPECT_EQ(runner::DesignCache::key_of(back.kernel, back.options), key);
+}
+
+ir::Kernel scale_by(double factor) {
+  ir::KernelBuilder kb("scale", 2);
+  auto x = kb.ptr_arg("x", ir::Type::f32(), ir::MapDir::tofrom, 8);
+  kb.for_loop("i", kb.thread_id(), kb.c32(8), kb.num_threads_val(),
+              [&](ir::Val i) {
+                kb.store(x, i, kb.load(x, i) * kb.cf32(factor));
+              });
+  return std::move(kb).finish();
+}
+
+TEST(RunnerCacheKey, FloatConstantsDifferingInTheSeventhDigitDoNotAlias) {
+  // The IR printer shows both constants as 0.123457; the key must not.
+  const hls::HlsOptions opts;
+  EXPECT_NE(runner::DesignCache::key_of(scale_by(0.1234567), opts),
+            runner::DesignCache::key_of(scale_by(0.1234568), opts));
+  runner::DesignCache cache;
+  EXPECT_FALSE(cache.get_or_compile(scale_by(0.1234567), opts).hit);
+  const auto second = cache.get_or_compile(scale_by(0.1234568), opts);
+  EXPECT_FALSE(second.hit);
+  const auto& ops = second.design->kernel.ops;
+  EXPECT_TRUE(std::any_of(ops.begin(), ops.end(), [](const ir::Op& op) {
+    return op.opcode == ir::Opcode::const_float && op.f_imm == 0.1234568;
+  }));
 }
 
 TEST(RunnerCacheKey, OptionsThatChangeCompilationChangeTheKey) {
