@@ -5,15 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "cli_helpers.hpp"
 #include "json_reader.hpp"
 #include "runner/runner.hpp"
 #include "workloads/reference.hpp"
@@ -117,23 +116,6 @@ TEST(JobEvent, CarriesJobMetrics) {
 
 // ---- hlsprof-run --progress against its own report ------------------------
 
-std::string run_command(const std::string& cmd) {
-  std::FILE* p = ::popen(cmd.c_str(), "r");
-  EXPECT_NE(p, nullptr) << cmd;
-  if (p == nullptr) return std::string();
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0) out.append(buf, n);
-  EXPECT_EQ(::pclose(p), 0) << cmd;
-  return out;
-}
-
-std::string slurp(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
 TEST(JobEventE2E, RunProgressMatchesReport) {
   const fs::path dir = fs::path(testing::TempDir()) / "hlsprof_job_event_e2e";
   fs::remove_all(dir);
@@ -145,7 +127,7 @@ TEST(JobEventE2E, RunProgressMatchesReport) {
                              "workers = 2\n"
                              "label = job-event-e2e\n";
 
-  const std::string progress = run_command(
+  const std::string progress = command_stdout(
       std::string(HLSPROF_RUN_BIN) + " " + manifest +
       " --canonical --quiet --progress --out=" + (dir / "report").string());
   const JsonValue report = json_parse(slurp(dir / "report.json"));

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -22,6 +21,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "cli_helpers.hpp"
 #include "json_reader.hpp"
 #include "core/hlsprof.hpp"
 #include "runner/runner.hpp"
@@ -422,25 +422,6 @@ TEST(RunnerCli, NegativeWorkersIsAUsageError) {
   }
   EXPECT_EQ(exit_status(run + "--workers=1"), 0);
   EXPECT_EQ(exit_status(run + "--seed=0"), 0);
-}
-
-/// Contents of a whole file ("" if it cannot be read).
-std::string slurp(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in), {});
-}
-
-/// Stdout of a shell command; fails the test unless it exits 0.
-std::string command_stdout(const std::string& cmd) {
-  std::FILE* p = ::popen(cmd.c_str(), "r");
-  EXPECT_NE(p, nullptr) << cmd;
-  if (p == nullptr) return std::string();
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0) out.append(buf, n);
-  EXPECT_EQ(::pclose(p), 0) << cmd;
-  return out;
 }
 
 TEST(RunnerCli, ReportsParseAndTelemetryLeavesCanonicalBytesAlone) {
