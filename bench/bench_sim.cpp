@@ -1,4 +1,4 @@
-// Simulator throughput benchmark: simulated cycles per wall-clock second
+// Simulator throughput benchmark: simulated cycles per CPU second
 // for three tiers — the reference event loop, the exact fast path (direct
 // dispatch + batched memory streams), and the approximate fast-forward
 // tier (SimParams::fast_forward) — on the GEMM case study (1 and 8
@@ -10,12 +10,13 @@
 // differs at all on pi (no external ops in its hot loop, so fast-forward
 // must never engage there).
 //
-// The run IS the measurement (one simulation per rep, best-of-reps); it
-// writes BENCH_sim.json + BENCH_ff.json. Flags: --dim=N --steps=N --reps=N
+// The run IS the measurement (one simulation per rep, best-of-reps, timed
+// on the simulating thread's CPU clock so that time the host gives to
+// other work does not count); it writes BENCH_sim.json + BENCH_ff.json. Flags: --dim=N --steps=N --reps=N
 // --out=PATH --ff-out=PATH.
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,13 @@ struct CaseResult {
   bool enforced = false;  // CI fails when enforced && a speedup < 1
 };
 
+/// CPU time of the calling thread, in seconds.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
+}
+
 /// One timed run: builds a fresh simulator (binding included, so all
 /// modes pay identical setup) and folds the rep into `m` (best-of-reps).
 void time_rep(const hls::Design& design,
@@ -63,10 +71,9 @@ void time_rep(const hls::Design& design,
   p.fast_forward = mode == Mode::approx;
   sim::Simulator s(design, p);
   bind(s);
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = thread_cpu_seconds();
   const sim::SimResult res = s.run(nullptr);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double sec = std::chrono::duration<double>(t1 - t0).count();
+  const double sec = thread_cpu_seconds() - t0;
   if (first || sec < m.best_seconds) m.best_seconds = sec;
   m.total_cycles = res.total_cycles;
   const auto st = s.fast_path_stats();
@@ -296,8 +303,8 @@ int main(int argc, char** argv) {
 
   // A tier can legitimately sit at parity with the one below it (t8's
   // overlapped middle declines every jump, so approx == fast plus
-  // negligible bookkeeping); wall-clock at parity jitters a few percent
-  // run to run. The gate exists to catch real regressions — a tier that
+  // negligible bookkeeping); CPU time at parity still jitters a few
+  // percent run to run. The gate exists to catch real regressions — a tier that
   // got meaningfully slower — so it tolerates that jitter.
   constexpr double kNoiseSlack = 0.90;
   bool ok = true;
