@@ -38,7 +38,7 @@ struct LoopInfo {
 };
 
 /// Census of a straight-line (non-loop) scheduled segment is not stored;
-/// the interpreter charges per-op latencies directly via `op_latency`.
+/// the simulator charges per-op latencies directly via `op_latency`.
 
 /// Design-level statistics consumed by the profiling-unit overhead model.
 struct DesignStats {

@@ -9,7 +9,7 @@ namespace hlsprof::sim::ff {
 void LoopPhase::begin_instance(std::int64_t n, const FastForwardParams& p) {
   if (inst_active && iter_index == 0) return;  // re-entry at iteration 0
   if (dormant > 0) {
-    // Decline backoff: sit out this instance entirely (the interpreter
+    // Decline backoff: sit out this instance entirely (the thread
     // drops its phase pointer, so not even per-iteration tracking runs).
     --dormant;
     inst_active = false;
@@ -191,7 +191,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
           if (k_jump >= 1) {
             Calibration c;
             c.valid = true;
-            c.model_ok = false;  // gated by the interpreter before the jump
+            c.model_ok = false;  // gated by the thread before the jump
             c.n_iters = n_iters;
             c.span_iters = k_jump * intra_w;
             c.pro_cycles = pro_cycles;
@@ -208,7 +208,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
             slot = std::move(c);
             cand = &slot;
             cand_needs_gate = true;
-            return true;  // interpreter gates, then jumps from here
+            return true;  // the thread gates, then jumps from here
           }
         }
       }
@@ -259,7 +259,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
     const double tol =
         p.probe_rel_tol * double(cand->pro_cycles) + p.probe_abs_slack;
     if (std::fabs(double(pro_cycles) - double(cand->pro_cycles)) <= tol) {
-      return true;  // interpreter jumps using cand
+      return true;  // the thread jumps using cand
     }
   }
   // No reusable calibration. A long single instance can still fast-
@@ -323,7 +323,7 @@ bool LoopPhase::finish_instance(cycle_t final_iter_cycles,
 
   Calibration c;
   c.valid = true;
-  c.model_ok = false;  // the interpreter gates it against the model next
+  c.model_ok = false;  // the thread gates it against the model next
   c.n_iters = n_iters;
   c.span_iters = n_iters - pro_iters - margin_iters;
   c.pro_cycles = pro_cycles;

@@ -29,7 +29,7 @@
 // such instances execute exactly.
 //
 // The jump itself (advancing the loop frame, synthesizing hook spans,
-// shifting the memory model) lives in the interpreter; this module only
+// shifting the memory model) lives in sim::Thread; this module only
 // holds the calibration state machine and the analytical model.
 #pragma once
 
@@ -87,7 +87,7 @@ struct Calibration {
 
 /// Calibration state for one pipelined simple-body loop (per thread).
 struct LoopPhase {
-  // -- structural census, filled once by the interpreter ------------------
+  // -- structural census, filled once by the thread ------------------------
   bool eligible = false;  // pipelined, >=1 ext op, no preloads
   std::vector<OpTrack> ops;  // external ops in body order
   long long loads_per_iter = 0;
@@ -149,7 +149,7 @@ struct LoopPhase {
   long long win1_hits = 0;
   long long win2_hits = 0;
   /// Set when end_iteration returns a jump whose calibration has not
-  /// been model-gated yet (fresh in-instance window): the interpreter
+  /// been model-gated yet (fresh in-instance window): the thread
   /// must run the gate and only jump if model_ok.
   bool cand_needs_gate = false;
 
@@ -190,7 +190,7 @@ struct LoopPhase {
   /// iteration's (so the memory model can re-open their rows).
   void after_jump(std::int64_t new_iv, std::int64_t skipped);
 
-  /// The interpreter could not apply the validated jump (batching
+  /// The thread could not apply the validated jump (batching
   /// horizon or livelock guard too close): degrade the instance to a
   /// fresh calibration run so the cycles still get re-measured.
   void jump_declined();

@@ -44,7 +44,7 @@ class ExternalMemory {
   void write_bytes(addr_t addr, const void* src, std::size_t n);
   void read_bytes(addr_t addr, void* dst, std::size_t n) const;
 
-  // Scalar access is on the interpreter's per-element hot path, so it
+  // Scalar access is on the thread executor's per-element hot path, so it
   // checks bounds and copies inline (the compile-time size lets the
   // copy lower to a single load/store) instead of calling read_bytes.
   template <typename T>
