@@ -66,6 +66,7 @@ void ProfilingUnit::open_through(std::size_t w) {
     }
     ring_ = std::move(ring);
     ring_windows_ = cap;
+    uncache();
   }
   open_ = need;
 }
@@ -80,11 +81,15 @@ void ProfilingUnit::deposit(int metric, thread_id_t tid, cycle_t t,
 void ProfilingUnit::deposit_range(int metric, thread_id_t tid, cycle_t t0,
                                   cycle_t t1, double amount) {
   if (t1 <= t0) return;
-  const cycle_t p = cfg_.sampling_period;
   const double span = double(t1 - t0);
+  const std::size_t idx = std::size_t(metric * T_ + int(tid));
+  if (t0 >= window_.lo && t1 <= window_.end) {  // inside the cached window
+    window_.stall[idx] += amount * double(t1 - t0) / span;
+    return;
+  }
+  const cycle_t p = cfg_.sampling_period;
   const std::size_t last = window_of(t1 - 1);
   if (last < next_window_) return;
-  const std::size_t idx = std::size_t(metric * T_ + int(tid));
   for (std::size_t i = std::max(window_of(t0), next_window_); i <= last;
        ++i) {
     const cycle_t lo = std::max(t0, cycle_t(i) * p);
@@ -94,13 +99,29 @@ void ProfilingUnit::deposit_range(int metric, thread_id_t tid, cycle_t t0,
 }
 
 void ProfilingUnit::note_time(cycle_t t) {
-  high_water_ = std::max(high_water_, t);
+  cycle_t& hw = window_.high_water;
+  hw = std::max(hw, t);
   // Finalize windows a bounded lag behind the high-water mark:
   // late-arriving aggregates (concurrent-branch compute, request-side
   // skew the paper also accepts) are still accounted within the lag.
-  if (high_water_ >= close_at_ && cfg_.any_events()) {
-    finalize_windows_up_to(high_water_ - lag_);
+  if (hw >= close_at_ && cfg_.any_events()) {
+    finalize_windows_up_to(hw - lag_);
   }
+}
+
+void ProfilingUnit::raise_high_water(cycle_t t) {
+  window_.high_water = std::max(window_.high_water, t);
+  if (window_.high_water >= close_at_) uncache();
+}
+
+void ProfilingUnit::cache_window() {
+  const std::size_t w = window_of(window_.high_water);
+  double* acc = window(w);
+  window_.lo = cycle_t(w) * cfg_.sampling_period;
+  window_.end = std::min(window_.lo + cfg_.sampling_period, close_at_);
+  window_.stall = acc;
+  window_.read = acc + 3 * T_;
+  window_.written = acc + 4 * T_;
 }
 
 void ProfilingUnit::on_state(thread_id_t tid, sim::ThreadState state,
@@ -131,12 +152,6 @@ void ProfilingUnit::append_state_record(cycle_t t) {
   maybe_flush(t, /*force=*/false);
 }
 
-void ProfilingUnit::on_stall(thread_id_t tid, cycle_t t, cycle_t cycles) {
-  if (!cfg_.enable_stall_events) return;
-  note_time(t);
-  deposit(0, tid, t, double(cycles));
-}
-
 void ProfilingUnit::on_compute(thread_id_t tid, long long int_ops,
                                long long fp_ops, cycle_t t0, cycle_t t1) {
   if (!cfg_.enable_compute_events) return;
@@ -148,14 +163,22 @@ void ProfilingUnit::on_compute(thread_id_t tid, long long int_ops,
   // point event (or on_finish) advances the window clock.
   if (int_ops > 0) deposit_range(1, tid, t0, t1, double(int_ops));
   if (fp_ops > 0) deposit_range(2, tid, t0, t1, double(fp_ops));
-  high_water_ = std::max(high_water_, t1);
+  raise_high_water(t1);
 }
 
-void ProfilingUnit::on_mem(thread_id_t tid, cycle_t t, std::uint32_t bytes,
-                           bool is_write) {
-  if (!cfg_.enable_memory_events) return;
-  note_time(t);
-  deposit(is_write ? 4 : 3, tid, t, double(bytes));
+void ProfilingUnit::on_request(thread_id_t tid, cycle_t accepted,
+                               std::uint32_t bytes, bool is_write,
+                               cycle_t expected, cycle_t stall) {
+  if (cfg_.enable_memory_events) {
+    note_time(accepted);
+    deposit(is_write ? 4 : 3, tid, accepted, double(bytes));
+  }
+  if (stall > 0 && cfg_.enable_stall_events) {
+    note_time(expected);
+    deposit(0, tid, expected, double(stall));
+  }
+  // The inline path counts both metrics, so it needs both collectors.
+  if (cfg_.enable_memory_events && cfg_.enable_stall_events) cache_window();
 }
 
 void ProfilingUnit::on_mem_span(thread_id_t tid, cycle_t t0, cycle_t t1,
@@ -167,7 +190,7 @@ void ProfilingUnit::on_mem_span(thread_id_t tid, cycle_t t0, cycle_t t1,
   if (bytes_written > 0) {
     deposit_range(4, tid, t0, t1, double(bytes_written));
   }
-  high_water_ = std::max(high_water_, t1);
+  raise_high_water(t1);
 }
 
 void ProfilingUnit::on_stall_span(thread_id_t tid, cycle_t t0, cycle_t t1,
@@ -175,7 +198,7 @@ void ProfilingUnit::on_stall_span(thread_id_t tid, cycle_t t0, cycle_t t1,
   if (!cfg_.enable_stall_events) return;
   // Deposit without finalizing windows (see on_compute).
   deposit_range(0, tid, t0, t1, double(cycles));
-  high_water_ = std::max(high_water_, t1);
+  raise_high_water(t1);
 }
 
 void ProfilingUnit::finalize_windows_up_to(cycle_t limit) {
@@ -194,6 +217,7 @@ void ProfilingUnit::finalize_windows_up_to(cycle_t limit) {
     --open_;
   }
   close_at_ = (cycle_t(next_window_) + 1) * cfg_.sampling_period + lag_;
+  uncache();
 }
 
 void ProfilingUnit::emit_window(std::size_t w, const double* acc) {
@@ -265,11 +289,13 @@ void ProfilingUnit::on_finish(cycle_t t) {
   HLSPROF_CHECK(!finished_, "on_finish called twice");
   finished_ = true;
   run_end_ = t;
-  high_water_ = std::max(high_water_, t);
+  window_.high_water = std::max(window_.high_water, t);
   if (cfg_.enable_states && last_state_record_t_ != kNoCycle && state_dirty_) {
     append_state_record(last_state_record_t_);
   }
-  if (cfg_.any_events()) finalize_windows_up_to(high_water_ + cfg_.sampling_period);
+  if (cfg_.any_events()) {
+    finalize_windows_up_to(window_.high_water + cfg_.sampling_period);
+  }
   maybe_flush(t, /*force=*/true);
 }
 

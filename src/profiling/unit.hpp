@@ -27,11 +27,8 @@ class ProfilingUnit final : public sim::SimHooks {
 
   // ---- SimHooks ---------------------------------------------------------
   void on_state(thread_id_t tid, sim::ThreadState state, cycle_t t) override;
-  void on_stall(thread_id_t tid, cycle_t t, cycle_t cycles) override;
   void on_compute(thread_id_t tid, long long int_ops, long long fp_ops,
                   cycle_t t0, cycle_t t1) override;
-  void on_mem(thread_id_t tid, cycle_t t, std::uint32_t bytes,
-              bool is_write) override;
   // Aggregate spans synthesized by the fast-forward tier (approx mode):
   // spread uniformly over [t0, t1) so sampled bandwidth/stall windows show
   // the same plateau the executed requests would have produced.
@@ -77,6 +74,14 @@ class ProfilingUnit final : public sim::SimHooks {
   const ProfilingConfig& config() const { return cfg_; }
 
  private:
+  void on_request(thread_id_t tid, cycle_t accepted, std::uint32_t bytes,
+                  bool is_write, cycle_t expected, cycle_t stall) override;
+  /// Cache the window of the high-water mark for sample_request's inline
+  /// path, and drop the cache (uncache) whenever windows close, the ring
+  /// moves, or the mark reaches close_at_.
+  void cache_window();
+  void uncache() { window_.end = window_.lo; }
+  void raise_high_water(cycle_t t);
   void append_state_record(cycle_t t);
   void maybe_flush(cycle_t t, bool force);
   void finalize_windows_up_to(cycle_t t);
@@ -120,14 +125,15 @@ class ProfilingUnit final : public sim::SimHooks {
   // [metric][thread] (metrics: 0 stall, 1 int, 2 fp, 3 bytes_rd,
   // 4 bytes_wr), in a ring of `ring_windows_` (a power of two) slots.
   // Samples for windows already emitted are dropped. A closed window's
-  // slot is zeroed for reuse.
+  // slot is zeroed for reuse. The inherited `window_` caches one open
+  // window (its stall row is the window's base) and holds the
+  // high-water mark of every sampled timestamp.
   static constexpr int kMetrics = 5;
   std::size_t stride_ = 0;  // kMetrics * T
   std::vector<double> ring_;
   std::size_t ring_windows_ = 0;
   std::size_t open_ = 0;
   std::size_t next_window_ = 0;
-  cycle_t high_water_ = 0;
   /// Windows close `lag_` cycles behind the high-water mark; the next one
   /// closes once the mark reaches `close_at_`.
   cycle_t lag_ = 0;

@@ -1,5 +1,6 @@
 #include "trace/records.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -23,27 +24,36 @@ LineEncoder::LineEncoder(int num_threads) : num_threads_(num_threads) {
 }
 
 void LineEncoder::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) cur_.push_back(std::uint8_t(v >> (8 * i)));
+  for (int i = 0; i < 4; ++i) line_[fill_ + i] = std::uint8_t(v >> (8 * i));
+  fill_ += 4;
 }
 
 void LineEncoder::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) cur_.push_back(std::uint8_t(v >> (8 * i)));
+  for (int i = 0; i < 8; ++i) line_[fill_ + i] = std::uint8_t(v >> (8 * i));
+  fill_ += 8;
 }
 
 void LineEncoder::bump_count() {
-  HLSPROF_CHECK(!cur_.empty(), "bump_count on empty line");
-  ++cur_[0];
+  HLSPROF_CHECK(fill_ != 0, "bump_count on empty line");
+  ++line_[0];
+}
+
+void LineEncoder::close_line() {
+  std::fill(line_.begin() + std::ptrdiff_t(fill_), line_.end(), 0);  // pad
+  full_bytes_.insert(full_bytes_.end(), line_.begin(), line_.end());
+  fill_ = 0;
 }
 
 int LineEncoder::ensure_fits(std::size_t record_bytes) {
   int completed = 0;
-  if (!cur_.empty() && cur_.size() + record_bytes > kLineBytes) {
-    cur_.resize(kLineBytes, 0);  // zero padding
-    full_bytes_.insert(full_bytes_.end(), cur_.begin(), cur_.end());
-    cur_.clear();
+  if (fill_ != 0 && fill_ + record_bytes > kLineBytes) {
+    close_line();
     completed = 1;
   }
-  if (cur_.empty()) cur_.push_back(0);  // record count
+  if (fill_ == 0) {
+    line_[0] = 0;  // record count
+    fill_ = 1;
+  }
   return completed;
 }
 
@@ -83,11 +93,7 @@ int LineEncoder::append_event(const EventRecord& r) {
 }
 
 std::vector<std::uint8_t> LineEncoder::take_lines() {
-  if (!cur_.empty()) {
-    cur_.resize(kLineBytes, 0);
-    full_bytes_.insert(full_bytes_.end(), cur_.begin(), cur_.end());
-    cur_.clear();
-  }
+  if (fill_ != 0) close_line();
   return std::exchange(full_bytes_, {});
 }
 

@@ -16,6 +16,7 @@
 // assuming consecutive records are less than half a wrap apart.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -72,18 +73,20 @@ class LineEncoder {
 
   /// Completed, untaken lines currently held.
   std::size_t pending_lines() const { return full_bytes_.size() / kLineBytes; }
-  bool line_open() const { return !cur_.empty(); }
+  bool line_open() const { return fill_ != 0; }
 
  private:
   int ensure_fits(std::size_t record_bytes);
-  void put_u8(std::uint8_t v) { cur_.push_back(v); }
+  void close_line();
+  void put_u8(std::uint8_t v) { line_[fill_++] = v; }
   void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void bump_count();
 
   int num_threads_;
-  std::vector<std::uint8_t> cur_;        // current (open) line, cur_[0]=count
-  std::vector<std::uint8_t> full_bytes_; // completed lines
+  std::array<std::uint8_t, kLineBytes> line_{};  // open line, line_[0]=count
+  std::size_t fill_ = 0;                 // bytes used in line_; 0: none open
+  std::vector<std::uint8_t> full_bytes_;  // completed lines
 };
 
 /// Decoded raw trace.
