@@ -1,11 +1,9 @@
-// Unit tests for src/common: stats, strings, binned series, RNG, hashing,
-// JSON emission.
+// Unit tests for src/common: stats, strings, RNG, hashing, JSON emission.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "common/binned_series.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/json.hpp"
@@ -100,58 +98,6 @@ TEST(Strings, WithCommas) {
   EXPECT_EQ(with_commas(1000), "1,000");
   EXPECT_EQ(with_commas(853522308ULL), "853,522,308");
   EXPECT_EQ(with_commas(1234567890123ULL), "1,234,567,890,123");
-}
-
-// ---- BinnedSeries -----------------------------------------------------------
-
-TEST(BinnedSeries, RejectsZeroWidth) {
-  EXPECT_THROW(BinnedSeries(0), Error);
-}
-
-TEST(BinnedSeries, AddPlacesInCorrectBin) {
-  BinnedSeries s(10);
-  s.add(0, 1.0);
-  s.add(9, 1.0);
-  s.add(10, 5.0);
-  EXPECT_DOUBLE_EQ(s.bin(0), 2.0);
-  EXPECT_DOUBLE_EQ(s.bin(1), 5.0);
-  EXPECT_DOUBLE_EQ(s.bin(2), 0.0);
-}
-
-TEST(BinnedSeries, BinBeyondEndIsZero) {
-  BinnedSeries s(10);
-  s.add(5, 1.0);
-  EXPECT_DOUBLE_EQ(s.bin(100), 0.0);
-}
-
-TEST(BinnedSeries, AddRangeSplitsProportionally) {
-  BinnedSeries s(10);
-  s.add_range(5, 25, 20.0);  // spans bins 0 (5 cyc), 1 (10 cyc), 2 (5 cyc)
-  EXPECT_DOUBLE_EQ(s.bin(0), 5.0);
-  EXPECT_DOUBLE_EQ(s.bin(1), 10.0);
-  EXPECT_DOUBLE_EQ(s.bin(2), 5.0);
-}
-
-TEST(BinnedSeries, AddRangeWithinOneBin) {
-  BinnedSeries s(100);
-  s.add_range(10, 20, 7.0);
-  EXPECT_DOUBLE_EQ(s.bin(0), 7.0);
-  EXPECT_DOUBLE_EQ(s.bin(1), 0.0);
-}
-
-TEST(BinnedSeries, AddRangeEmptyIsNoop) {
-  BinnedSeries s(10);
-  s.add_range(20, 20, 5.0);
-  s.add_range(30, 20, 5.0);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(s.bin(i), 0.0);
-}
-
-TEST(BinnedSeries, TotalConservedByAddRange) {
-  BinnedSeries s(7);
-  s.add_range(3, 100, 42.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i <= 99 / 7; ++i) total += s.bin(i);
-  EXPECT_NEAR(total, 42.0, 1e-9);
 }
 
 // ---- RNG ------------------------------------------------------------------
