@@ -165,9 +165,6 @@ class Simulator {
   /// that refills it.
   Commit commit_action(thread_id_t tid, const Action& a, SimHooks* hooks,
                        bool allow_batching);
-  /// Livelock guard: fails once thread `tid`'s next event is at a cycle
-  /// past params_.max_cycles.
-  void check_event_time(cycle_t t, thread_id_t tid) const;
   void run_reference(SimHooks* hooks);
   void run_fast(SimHooks* hooks);
   void emit_state(SimHooks* hooks, thread_id_t tid, ThreadState s, cycle_t t);

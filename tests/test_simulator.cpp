@@ -3,6 +3,8 @@
 // error handling, and multi-threaded synchronization.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "hls/compiler.hpp"
 #include "sim/simulator.hpp"
@@ -286,6 +288,41 @@ TEST(SimulatorErrors, CycleLimitGuards) {
   sim.bind_f32("y", y);
   sim.bind_f32("z", z);
   EXPECT_THROW(sim.run(), Error);
+}
+
+TEST(SimulatorErrors, CycleLimitNamesThreadAndCycle) {
+  // One thread: the fast loop commits its requests on the batched paths,
+  // the reference loop through the event heap; both name the thread, the
+  // cycle it reached and the limit.
+  hls::Design d = hls::compile(workloads::vecadd(256, 1, 1));
+  for (bool reference : {false, true}) {
+    SimParams p = fast_params();
+    p.reference_event_loop = reference;
+    p.max_cycles = 100;
+    Simulator sim(d, p, 1 << 20);
+    auto x = workloads::random_vector(256, 1);
+    auto y = workloads::random_vector(256, 2);
+    std::vector<float> z(256);
+    sim.bind_f32("x", x);
+    sim.bind_f32("y", y);
+    sim.bind_f32("z", z);
+    try {
+      sim.run();
+      ADD_FAILURE() << "run past max_cycles did not fail";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      const std::string head =
+          "simulation exceeded max_cycles (livelock guard): thread 0 "
+          "reached cycle ";
+      ASSERT_EQ(msg.rfind(head, 0), 0u) << msg;
+      const std::size_t comma = msg.find(',', head.size());
+      ASSERT_NE(comma, std::string::npos) << msg;
+      EXPECT_GT(std::stoull(msg.substr(head.size(), comma - head.size())),
+                100u)
+          << msg;
+      EXPECT_EQ(msg.substr(comma), ", past the limit of 100") << msg;
+    }
+  }
 }
 
 // ---- timing invariants ------------------------------------------------------------------
