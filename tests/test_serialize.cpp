@@ -11,6 +11,7 @@
 
 #include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "core/hlsprof.hpp"
 #include "hls/serialize.hpp"
 #include "ir/printer.hpp"
@@ -89,6 +90,21 @@ TEST(Bytes, ReadsPastTheEndThrow) {
   w3.u32(1000);  // claims a 1000-byte string in an empty buffer
   ByteReader r3(w3.data());
   EXPECT_THROW(r3.str(), Error);
+}
+
+TEST(Bytes, EncodeSourceBytesArePinned) {
+  // The design cache keys on these bytes and the disk store writes them:
+  // a change to ByteWriter that moved a byte would change every
+  // design_key in reports and orphan every stored entry.
+  const std::string src =
+      hls::encode_source(workloads::pi_series(workloads::PiConfig{}),
+                         hls::HlsOptions{});
+  EXPECT_EQ(src.size(), 4967u);
+  EXPECT_EQ(hex_digest(fnv1a64(src)), "c771b27cd0837dc3");
+  EXPECT_EQ(runner::DesignCache::key_of(
+                workloads::pi_series(workloads::PiConfig{}),
+                hls::HlsOptions{}),
+            0xc771b27cd0837dc3ULL);
 }
 
 // ---- design round trips ----------------------------------------------------
