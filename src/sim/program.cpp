@@ -158,16 +158,16 @@ void Program::lower_op(ir::ValueId id) {
       init.is_float = fp;
       init.f32 = in.f32;
       break;
-    case Opcode::add: in.op = vec ? MOp::vibin : MOp::iadd; break;
-    case Opcode::sub: in.op = vec ? MOp::vibin : MOp::isub; break;
-    case Opcode::mul: in.op = vec ? MOp::vibin : MOp::imul; break;
-    case Opcode::divs: in.op = vec ? MOp::vibin : MOp::idiv; break;
-    case Opcode::rems: in.op = vec ? MOp::vibin : MOp::irem; break;
-    case Opcode::and_: in.op = vec ? MOp::vibin : MOp::iand; break;
-    case Opcode::or_: in.op = vec ? MOp::vibin : MOp::ior; break;
-    case Opcode::xor_: in.op = vec ? MOp::vibin : MOp::ixor; break;
-    case Opcode::shl: in.op = vec ? MOp::vibin : MOp::ishl; break;
-    case Opcode::ashr: in.op = vec ? MOp::vibin : MOp::iashr; break;
+    case Opcode::add: in.op = vec ? MOp::viadd : MOp::iadd; break;
+    case Opcode::sub: in.op = vec ? MOp::visub : MOp::isub; break;
+    case Opcode::mul: in.op = vec ? MOp::vimul : MOp::imul; break;
+    case Opcode::divs: in.op = vec ? MOp::vidiv : MOp::idiv; break;
+    case Opcode::rems: in.op = vec ? MOp::virem : MOp::irem; break;
+    case Opcode::and_: in.op = vec ? MOp::viand : MOp::iand; break;
+    case Opcode::or_: in.op = vec ? MOp::vior : MOp::ior; break;
+    case Opcode::xor_: in.op = vec ? MOp::vixor : MOp::ixor; break;
+    case Opcode::shl: in.op = vec ? MOp::vishl : MOp::ishl; break;
+    case Opcode::ashr: in.op = vec ? MOp::viashr : MOp::iashr; break;
     case Opcode::neg: in.op = vec ? MOp::vineg : MOp::ineg; break;
     case Opcode::cmp_lt:
     case Opcode::cmp_le:
@@ -178,10 +178,10 @@ void Program::lower_op(ir::ValueId id) {
       in.op = k.op(op.operands[0]).type.is_float() ? MOp::fcmp : MOp::icmp;
       break;
     case Opcode::select: in.op = MOp::select; break;
-    case Opcode::fadd: in.op = vec ? MOp::vfbin : MOp::fadd; break;
-    case Opcode::fsub: in.op = vec ? MOp::vfbin : MOp::fsub; break;
-    case Opcode::fmul: in.op = vec ? MOp::vfbin : MOp::fmul; break;
-    case Opcode::fdiv: in.op = vec ? MOp::vfbin : MOp::fdiv; break;
+    case Opcode::fadd: in.op = vec ? MOp::vfadd : MOp::fadd; break;
+    case Opcode::fsub: in.op = vec ? MOp::vfsub : MOp::fsub; break;
+    case Opcode::fmul: in.op = vec ? MOp::vfmul : MOp::fmul; break;
+    case Opcode::fdiv: in.op = vec ? MOp::vfdiv : MOp::fdiv; break;
     case Opcode::fneg: in.op = vec ? MOp::vfneg : MOp::fneg; break;
     case Opcode::cast: {
       const bool src_fp = k.op(op.operands[0]).type.is_float();

@@ -35,7 +35,8 @@ union Word {
 /// Micro-op codes. Pure ops (everything before load_ext) only read and
 /// write the thread's words and local arrays. The arithmetic ops come in
 /// a one-lane form and a `v` form that loops over Instr::lanes; the other
-/// pure ops take any lane count.
+/// pure ops take any lane count. Lowering resolves the opcode, so no lane
+/// loop dispatches per lane; the f32 rounding is tested once per op.
 enum class MOp : std::uint8_t {
   // Integer arithmetic; the result wraps to the type (see Instr::wrap).
   iadd, isub, imul, idiv, irem, iand, ior, ixor, ishl, iashr, ineg,
@@ -43,8 +44,11 @@ enum class MOp : std::uint8_t {
   fcmp,
   // Floating point; the result rounds to f32 when Instr::f32.
   fadd, fsub, fmul, fdiv, fneg,
-  // Lane loops of the above (Instr::sub holds the ir::Opcode).
-  vibin, vineg, vfbin, vfneg,
+  // Lane loops of the above. Integer lanes run one at a time; FP lanes
+  // of vfadd .. vfdiv run two at a time in one vector register.
+  viadd, visub, vimul, vidiv, virem, viand, vior, vixor, vishl, viashr,
+  vineg,
+  vfadd, vfsub, vfmul, vfdiv, vfneg,
   fcount,  // an FP op of a timing-only run: counted, not computed
   select,
   cast_ii, cast_if, cast_fi, cast_ff,  // source kind, result kind

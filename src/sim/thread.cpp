@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -20,6 +22,67 @@ inline std::int64_t wrap(std::int64_t x, unsigned shift) {
 
 /// Round `x` as if stored in f32 when `f32`.
 inline double rnd(double x, bool f32) { return f32 ? double(float(x)) : x; }
+
+/// The same with the choice made at compile time, for lane loops.
+template <bool F32>
+inline double rnd(double x) {
+  if constexpr (F32) return double(float(x));
+  return x;
+}
+
+/// Runs `body(std::true_type{})` or `body(std::false_type{})` as `f32` is
+/// set, so a lane loop inside `body` tests the flag once, not per lane.
+template <class Body>
+[[gnu::always_inline]] inline void on_f32(bool f32, Body body) {
+  if (f32) {
+    body(std::true_type{});
+  } else {
+    body(std::false_type{});
+  }
+}
+
+/// Two FP lanes in one vector register (SSE2 on x86-64). IEEE + - * / and
+/// the double -> float -> double round trip give the same bits packed as
+/// one lane at a time.
+using F64x2 = double __attribute__((vector_size(16)));
+using F32x2 = float __attribute__((vector_size(8)));
+
+/// dst = op(a, b) over in.lanes FP lanes, rounded through f32 when
+/// in.f32: two lanes at a time, then a one-lane tail for an odd count.
+/// `op` is applied to F64x2 pairs and to doubles. Words move through
+/// memcpy, which keeps the union's aliasing defined.
+template <class Op>
+[[gnu::always_inline]] inline void fp_lanes(Word* w, const Instr& in, Op op) {
+  on_f32(in.f32, [&](auto f32) {
+    Word* d = w + in.dst;
+    const Word* x = w + in.a;
+    const Word* y = w + in.b;
+    const int n = in.lanes;
+    int l = 0;
+    for (; l + 2 <= n; l += 2) {
+      F64x2 a;
+      F64x2 b;
+      std::memcpy(&a, x + l, sizeof a);
+      std::memcpy(&b, y + l, sizeof b);
+      F64x2 r = op(a, b);
+      if constexpr (f32) {
+        r = __builtin_convertvector(__builtin_convertvector(r, F32x2), F64x2);
+      }
+      std::memcpy(d + l, &r, sizeof r);
+    }
+    if (l < n) d[l].f = rnd<f32>(op(x[l].f, y[l].f));
+  });
+}
+
+/// dst = op(a, b) over in.lanes integer lanes, wrapped to the type. No
+/// packed form: SSE2 has no 64-bit lane multiply.
+template <class Op>
+[[gnu::always_inline]] inline void int_lanes(Word* w, const Instr& in,
+                                             Op op) {
+  for (int l = 0; l < in.lanes; ++l) {
+    w[in.dst + l].i = wrap(op(w[in.a + l].i, w[in.b + l].i), in.wrap);
+  }
+}
 
 }  // namespace
 
@@ -79,32 +142,52 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
       ++acc_int_;
       break;
     case MOp::ineg: w[in.dst].i = wrap(-w[in.a].i, in.wrap); ++acc_int_; break;
-    case MOp::vibin:
-      for (int l = 0; l < lanes; ++l) {
-        const std::int64_t x = w[in.a + l].i;
-        const std::int64_t y = w[in.b + l].i;
-        std::int64_t r = 0;
-        switch (Opcode(in.sub)) {
-          case Opcode::add: r = x + y; break;
-          case Opcode::sub: r = x - y; break;
-          case Opcode::mul: r = x * y; break;
-          case Opcode::divs:
-            HLSPROF_CHECK(y != 0, "integer division by zero in kernel");
-            r = x / y;
-            break;
-          case Opcode::rems:
-            HLSPROF_CHECK(y != 0, "integer remainder by zero in kernel");
-            r = x % y;
-            break;
-          case Opcode::and_: r = x & y; break;
-          case Opcode::or_: r = x | y; break;
-          case Opcode::xor_: r = x ^ y; break;
-          case Opcode::shl: r = x << (y & 63); break;
-          case Opcode::ashr: r = x >> (y & 63); break;
-          default: break;
-        }
-        w[in.dst + l].i = wrap(r, in.wrap);
-      }
+    case MOp::viadd:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x + y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::visub:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x - y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::vimul:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x * y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::vidiv:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) {
+        HLSPROF_CHECK(y != 0, "integer division by zero in kernel");
+        return x / y;
+      });
+      acc_int_ += lanes;
+      break;
+    case MOp::virem:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) {
+        HLSPROF_CHECK(y != 0, "integer remainder by zero in kernel");
+        return x % y;
+      });
+      acc_int_ += lanes;
+      break;
+    case MOp::viand:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x & y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::vior:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x | y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::vixor:
+      int_lanes(w, in, [](std::int64_t x, std::int64_t y) { return x ^ y; });
+      acc_int_ += lanes;
+      break;
+    case MOp::vishl:
+      int_lanes(w, in,
+                [](std::int64_t x, std::int64_t y) { return x << (y & 63); });
+      acc_int_ += lanes;
+      break;
+    case MOp::viashr:
+      int_lanes(w, in,
+                [](std::int64_t x, std::int64_t y) { return x >> (y & 63); });
       acc_int_ += lanes;
       break;
     case MOp::vineg:
@@ -162,20 +245,20 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
       ++acc_fp_;
       break;
     case MOp::fneg: w[in.dst].f = -w[in.a].f; ++acc_fp_; break;
-    case MOp::vfbin:
-      for (int l = 0; l < lanes; ++l) {
-        const double x = w[in.a + l].f;
-        const double y = w[in.b + l].f;
-        double r = 0.0;
-        switch (Opcode(in.sub)) {
-          case Opcode::fadd: r = x + y; break;
-          case Opcode::fsub: r = x - y; break;
-          case Opcode::fmul: r = x * y; break;
-          case Opcode::fdiv: r = x / y; break;
-          default: break;
-        }
-        w[in.dst + l].f = rnd(r, in.f32);
-      }
+    case MOp::vfadd:
+      fp_lanes(w, in, [](auto x, auto y) { return x + y; });
+      acc_fp_ += lanes;
+      break;
+    case MOp::vfsub:
+      fp_lanes(w, in, [](auto x, auto y) { return x - y; });
+      acc_fp_ += lanes;
+      break;
+    case MOp::vfmul:
+      fp_lanes(w, in, [](auto x, auto y) { return x * y; });
+      acc_fp_ += lanes;
+      break;
+    case MOp::vfdiv:
+      fp_lanes(w, in, [](auto x, auto y) { return x / y; });
       acc_fp_ += lanes;
       break;
     case MOp::vfneg:
@@ -198,9 +281,11 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
       acc_int_ += lanes;
       break;
     case MOp::cast_if:
-      for (int l = 0; l < lanes; ++l) {
-        w[in.dst + l].f = rnd(double(w[in.a + l].i), in.f32);
-      }
+      on_f32(in.f32, [&](auto f32) {
+        for (int l = 0; l < lanes; ++l) {
+          w[in.dst + l].f = rnd<f32>(double(w[in.a + l].i));
+        }
+      });
       acc_int_ += lanes;
       break;
     case MOp::cast_fi:
@@ -210,9 +295,11 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
       acc_int_ += lanes;
       break;
     case MOp::cast_ff:
-      for (int l = 0; l < lanes; ++l) {
-        w[in.dst + l].f = rnd(w[in.a + l].f, in.f32);
-      }
+      on_f32(in.f32, [&](auto f32) {
+        for (int l = 0; l < lanes; ++l) {
+          w[in.dst + l].f = rnd<f32>(w[in.a + l].f);
+        }
+      });
       acc_int_ += lanes;
       break;
     case MOp::copy:
@@ -228,13 +315,15 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
       for (int l = 0; l < lanes; ++l) w[in.dst + l] = w[in.a + l];
       w[in.dst + in.lane] = w[in.b];
       break;
-    case MOp::reduce_f: {
-      double s = 0.0;
-      for (int l = 0; l < in.lane; ++l) s = rnd(s + w[in.a + l].f, in.f32);
-      w[in.dst].f = s;
+    case MOp::reduce_f:
+      // Lane order is part of the result: the sum stays sequential.
+      on_f32(in.f32, [&](auto f32) {
+        double s = 0.0;
+        for (int l = 0; l < in.lane; ++l) s = rnd<f32>(s + w[in.a + l].f);
+        w[in.dst].f = s;
+      });
       acc_fp_ += in.lane - 1;
       break;
-    }
     case MOp::reduce_i: {
       std::int64_t s = 0;
       for (int l = 0; l < in.lane; ++l) s += w[in.a + l].i;
@@ -253,20 +342,24 @@ void cycle_limit_exceeded(const SimParams& params, thread_id_t tid,
                          load ? "read" : "write"));
       double* store =
           locals_[static_cast<std::size_t>(in.index)].data() + index;
-      if (load) {
+      if (load && in.is_float) {
+        for (int l = 0; l < lanes; ++l) w[in.dst + l].f = store[l];
+      } else if (load) {
         for (int l = 0; l < lanes; ++l) {
-          if (in.is_float) {
-            w[in.dst + l].f = store[l];
-          } else {
-            w[in.dst + l].i = std::int64_t(store[l]);
-          }
+          w[in.dst + l].i = std::int64_t(store[l]);
         }
       } else {
-        for (int l = 0; l < lanes; ++l) {
-          const double x =
-              in.is_float ? w[in.b + l].f : double(w[in.b + l].i);
-          store[l] = rnd(x, in.f32);
-        }
+        on_f32(in.f32, [&](auto f32) {
+          if (in.is_float) {
+            for (int l = 0; l < lanes; ++l) {
+              store[l] = rnd<f32>(w[in.b + l].f);
+            }
+          } else {
+            for (int l = 0; l < lanes; ++l) {
+              store[l] = rnd<f32>(double(w[in.b + l].i));
+            }
+          }
+        });
       }
       break;
     }
