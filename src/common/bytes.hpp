@@ -48,8 +48,12 @@ class ByteWriter {
   std::string take() { return std::move(buf_); }
 
  private:
+  /// One append per value: a push_back per byte made encoding a kernel
+  /// (DesignCache::key_of, once per job) several times slower.
   ByteWriter& le(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) buf_.push_back(char((v >> (8 * i)) & 0xff));
+    char b[8];
+    for (int i = 0; i < n; ++i) b[i] = char((v >> (8 * i)) & 0xff);
+    buf_.append(b, std::size_t(n));
     return *this;
   }
   std::string buf_;
