@@ -1,5 +1,6 @@
 #include "frontend/lower.hpp"
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -131,25 +132,37 @@ class Lowerer {
       }
       return std::nullopt;
     }
+    // The source is untrusted: a result outside int64 is an error, never
+    // undefined behavior (INT64_MIN / -1 traps on x86).
+    std::int64_t r = 0;
+    bool over = false;
     if (const auto* un = std::get_if<ast::Unary>(&e.node)) {
       if (un->op != '-') return std::nullopt;
       const auto v = fold(*un->operand);
-      return v ? std::optional<std::int64_t>(-*v) : std::nullopt;
-    }
-    if (const auto* bin = std::get_if<ast::Binary>(&e.node)) {
+      if (!v) return std::nullopt;
+      over = __builtin_sub_overflow(std::int64_t{0}, *v, &r);
+    } else if (const auto* bin = std::get_if<ast::Binary>(&e.node)) {
       const auto a = fold(*bin->lhs);
       const auto b = fold(*bin->rhs);
       if (!a || !b) return std::nullopt;
-      if (bin->op == "+") return *a + *b;
-      if (bin->op == "-") return *a - *b;
-      if (bin->op == "*") return *a * *b;
-      if (bin->op == "/") return *b == 0 ? std::nullopt
-                                         : std::optional<std::int64_t>(*a / *b);
-      if (bin->op == "%") return *b == 0 ? std::nullopt
-                                         : std::optional<std::int64_t>(*a % *b);
+      if (bin->op == "+") {
+        over = __builtin_add_overflow(*a, *b, &r);
+      } else if (bin->op == "-") {
+        over = __builtin_sub_overflow(*a, *b, &r);
+      } else if (bin->op == "*") {
+        over = __builtin_mul_overflow(*a, *b, &r);
+      } else if (bin->op == "/" || bin->op == "%") {
+        if (*b == 0) return std::nullopt;
+        over = *a == std::numeric_limits<std::int64_t>::min() && *b == -1;
+        if (!over) r = bin->op == "/" ? *a / *b : *a % *b;
+      } else {
+        return std::nullopt;
+      }
+    } else {
       return std::nullopt;
     }
-    return std::nullopt;
+    if (over) error(e.line, "constant expression overflows 64-bit integers");
+    return r;
   }
 
   std::int64_t fold_or_fail(const Expr& e) const {
