@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hlsprof {
 
@@ -18,15 +19,21 @@ class Error : public std::runtime_error {
   throw Error(message);
 }
 
+/// HLSPROF_CHECK's failure path, kept out of line so a passing check
+/// costs its caller one compare and branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const char* cond, std::string_view msg, const char* file, int line) {
+  fail(std::string("check failed: ") + cond + " — " + std::string(msg) +
+       " (" + file + ":" + std::to_string(line) + ")");
+}
+
 }  // namespace hlsprof
 
 /// Precondition / invariant check. Active in all build types: the toolchain
 /// is a compiler+simulator, so silent corruption is worse than the branch.
-#define HLSPROF_CHECK(cond, msg)                                          \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::hlsprof::fail(std::string("check failed: ") + #cond + " — " +    \
-                      (msg) + " (" + __FILE__ + ":" +                     \
-                      std::to_string(__LINE__) + ")");                    \
-    }                                                                     \
+#define HLSPROF_CHECK(cond, msg)                                   \
+  do {                                                             \
+    if (!(cond)) [[unlikely]] {                                    \
+      ::hlsprof::check_failed(#cond, (msg), __FILE__, __LINE__);   \
+    }                                                              \
   } while (false)

@@ -189,7 +189,14 @@ class Lowerer {
   Val lower_expr(const Expr& e) {
     // Fold first: unrolled induction variables and -D constants become
     // immediates rather than runtime arithmetic.
-    if (const auto v = fold(e); v.has_value()) return kb_.c32(*v);
+    if (const auto v = fold(e); v.has_value()) {
+      if (*v != std::int32_t(*v)) {
+        error(e.line, strf("integer constant %lld does not fit in a 32-bit "
+                           "int",
+                           static_cast<long long>(*v)));
+      }
+      return kb_.c32(*v);
+    }
 
     if (const auto* lit = std::get_if<ast::FloatLit>(&e.node)) {
       return kb_.cf32(lit->value);

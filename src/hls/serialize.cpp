@@ -255,6 +255,9 @@ ir::Kernel dec_kernel(ByteReader& r) {
   ir::Kernel k;
   k.name = r.str();
   k.num_threads = r.i32();
+  HLSPROF_CHECK(k.num_threads >= 1 && k.num_threads <= 64,
+                "serialize: num_threads " + std::to_string(k.num_threads) +
+                    " out of supported range [1,64]");
   k.num_loops = r.i32();
   k.num_locks = r.i32();
 

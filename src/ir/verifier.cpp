@@ -28,7 +28,9 @@ class Verifier {
 
  private:
   void check_decls() {
-    HLSPROF_CHECK(k_.num_threads >= 1, "kernel must have >= 1 threads");
+    HLSPROF_CHECK(k_.num_threads >= 1 && k_.num_threads <= 64,
+                  strf("num_threads %d out of supported range [1,64]",
+                       k_.num_threads));
     for (const Arg& a : k_.args) {
       if (a.is_pointer) {
         HLSPROF_CHECK(a.count > 0, "pointer arg '" + a.name +
@@ -73,6 +75,16 @@ class Verifier {
 
     switch (op.opcode) {
       case Opcode::const_int:
+        // The simulator widens an i32 word only through arithmetic, so
+        // an immediate past int32 would compare as one value and compute
+        // as another.
+        if (op.type.scalar == Scalar::i32 &&
+            op.i_imm != std::int32_t(op.i_imm)) {
+          fail(strf("const_int %%%d: immediate %lld does not fit in i32", id,
+                    static_cast<long long>(op.i_imm)));
+        }
+        expect_operands(0);
+        break;
       case Opcode::const_float:
       case Opcode::thread_id:
       case Opcode::num_threads:

@@ -107,59 +107,4 @@ void ExternalMemory::ff_absorb(long long reads, long long writes,
   row_misses_ += row_misses;
 }
 
-MemTiming ExternalMemory::access(cycle_t t, addr_t addr, std::uint32_t bytes,
-                                 bool is_write) {
-  // Avalon arbiter: one acceptance per bus_accept_interval.
-  cycle_t accepted = std::max(t, bus_free_at_);
-  bus_free_at_ = accepted + p_.bus_accept_interval +
-                 (is_write ? p_.write_accept_extra : 0);
-
-  // Bank selection: row-granular interleaving — consecutive rows map to
-  // consecutive banks, so large-stride streams exploit bank parallelism
-  // while staying row-miss-bound. Power-of-two geometries (the default)
-  // use the shift/mask path precomputed in the constructor.
-  std::int64_t row;
-  std::size_t bank_idx;
-  cycle_t lines;
-  if (pow2_geometry_) {
-    row = std::int64_t(addr >> row_shift_);
-    bank_idx = std::size_t(std::uint64_t(row) & bank_mask_);
-    lines = std::max<cycle_t>(
-        1, (cycle_t(bytes) + (cycle_t{1} << line_shift_) - 1) >> line_shift_);
-  } else {
-    row = std::int64_t(addr / p_.row_bytes);
-    bank_idx = static_cast<std::size_t>(row % std::int64_t(p_.num_banks));
-    lines = std::max<cycle_t>(1, (bytes + p_.line_bytes - 1) / p_.line_bytes);
-  }
-  Bank& bank = banks_[bank_idx];
-
-  const cycle_t service_start = std::max(accepted, bank.free_at);
-  const bool hit = bank.open_row == row;
-  const cycle_t occupancy =
-      hit ? lines * p_.hit_occupancy
-          : p_.miss_occupancy + (lines - 1) * p_.hit_occupancy;
-  const cycle_t latency =
-      p_.base_latency + (hit ? 0 : p_.row_miss_penalty) + lines - 1;
-
-  bank.free_at = service_start + occupancy;
-  bank.open_row = row;
-
-  MemTiming result;
-  result.accepted = accepted;
-  result.row_hit = hit;
-  // Reads: data arrives after the full latency. Writes are posted: the
-  // thread only waits for acceptance into the bank queue.
-  result.complete = is_write ? service_start : service_start + latency;
-
-  if (is_write) {
-    ++writes_;
-    bytes_written_ += bytes;
-  } else {
-    ++reads_;
-    bytes_read_ += bytes;
-  }
-  (hit ? row_hits_ : row_misses_)++;
-  return result;
-}
-
 }  // namespace hlsprof::sim

@@ -5,6 +5,7 @@
 // would in hardware.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -65,9 +66,10 @@ class ExternalMemory {
   // ---- Timing --------------------------------------------------------------
   /// Submit a request at cycle `t` (global time order across callers is
   /// the caller's responsibility — the simulator's event loop guarantees
-  /// it). Advances arbiter and bank state.
-  MemTiming access(cycle_t t, addr_t addr, std::uint32_t bytes,
-                   bool is_write);
+  /// it). Advances arbiter and bank state. Inlined into its callers:
+  /// every request of every thread passes through it.
+  [[gnu::always_inline]] MemTiming access(cycle_t t, addr_t addr,
+                                          std::uint32_t bytes, bool is_write);
 
   /// Preloader DMA burst starting at cycle `t`: the byte range
   /// [addr, addr+bytes) is fetched as back-to-back full-line reads on the
@@ -134,5 +136,60 @@ class ExternalMemory {
   long long row_hits_ = 0;
   long long row_misses_ = 0;
 };
+
+inline MemTiming ExternalMemory::access(cycle_t t, addr_t addr,
+                                        std::uint32_t bytes, bool is_write) {
+  // Avalon arbiter: one acceptance per bus_accept_interval.
+  cycle_t accepted = std::max(t, bus_free_at_);
+  bus_free_at_ = accepted + p_.bus_accept_interval +
+                 (is_write ? p_.write_accept_extra : 0);
+
+  // Bank selection: row-granular interleaving — consecutive rows map to
+  // consecutive banks, so large-stride streams exploit bank parallelism
+  // while staying row-miss-bound. Power-of-two geometries (the default)
+  // use the shift/mask path precomputed in the constructor.
+  std::int64_t row;
+  std::size_t bank_idx;
+  cycle_t lines;
+  if (pow2_geometry_) {
+    row = std::int64_t(addr >> row_shift_);
+    bank_idx = std::size_t(std::uint64_t(row) & bank_mask_);
+    lines = std::max<cycle_t>(
+        1, (cycle_t(bytes) + (cycle_t{1} << line_shift_) - 1) >> line_shift_);
+  } else {
+    row = std::int64_t(addr / p_.row_bytes);
+    bank_idx = static_cast<std::size_t>(row % std::int64_t(p_.num_banks));
+    lines = std::max<cycle_t>(1, (bytes + p_.line_bytes - 1) / p_.line_bytes);
+  }
+  Bank& bank = banks_[bank_idx];
+
+  const cycle_t service_start = std::max(accepted, bank.free_at);
+  const bool hit = bank.open_row == row;
+  const cycle_t occupancy =
+      hit ? lines * p_.hit_occupancy
+          : p_.miss_occupancy + (lines - 1) * p_.hit_occupancy;
+  const cycle_t latency =
+      p_.base_latency + (hit ? 0 : p_.row_miss_penalty) + lines - 1;
+
+  bank.free_at = service_start + occupancy;
+  bank.open_row = row;
+
+  MemTiming result;
+  result.accepted = accepted;
+  result.row_hit = hit;
+  // Reads: data arrives after the full latency. Writes are posted: the
+  // thread only waits for acceptance into the bank queue.
+  result.complete = is_write ? service_start : service_start + latency;
+
+  if (is_write) {
+    ++writes_;
+    bytes_written_ += bytes;
+  } else {
+    ++reads_;
+    bytes_read_ += bytes;
+  }
+  (hit ? row_hits_ : row_misses_)++;
+  return result;
+}
 
 }  // namespace hlsprof::sim

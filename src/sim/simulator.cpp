@@ -29,6 +29,8 @@ Simulator::Simulator(const hls::Design& design, SimParams params,
       sem_(design.kernel.num_locks, params.sem),
       barrier_(design.kernel.num_threads, params.host.barrier_release_latency) {
   const auto& k = d_.kernel;
+  HLSPROF_CHECK(k.num_threads >= 1 && k.num_threads <= 64,
+                "num_threads out of supported range [1,64]");
   bound_.resize(k.args.size());
   arg_values_.resize(k.args.size());
   arg_index_.reserve(k.args.size());
@@ -156,7 +158,7 @@ cycle_t Simulator::copy_out(cycle_t t) {
 }
 
 void Simulator::push_event(cycle_t t, thread_id_t tid) {
-  heap_.push_back(Event{t, seq_++, tid});
+  heap_.push_back(make_event(t, tid));
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
 }
 
@@ -168,7 +170,7 @@ Simulator::Event Simulator::pop_event() {
 }
 
 Simulator::Event Simulator::push_pop_event(cycle_t t, thread_id_t tid) {
-  const Event ev{t, seq_++, tid};
+  const Event ev = make_event(t, tid);
   // (time, seq) is a strict order, so either the new event pops at once
   // or the root does and the new event sifts down from the root's place.
   if (heap_.empty() || !(ev > heap_.front())) return ev;
@@ -199,9 +201,9 @@ inline void Simulator::advance(thread_id_t tid, bool allow_batching) {
   // the global commit order (parked threads can only be re-scheduled at or
   // after that horizon, by an action that itself ends the resume).
   ti.set_mem_horizon(allow_batching
-                         ? (heap_.empty() ? kNoCycle : heap_.front().time)
+                         ? (heap_.empty() ? kNoCycle : heap_.front().time())
                          : 0);
-  pending_[tid] = ti.resume();
+  ti.resume();
   has_pending_[tid] = 1;
 }
 
@@ -213,21 +215,18 @@ void Simulator::start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
   advance(tid, allow_batching);
 }
 
-Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
-                                           SimHooks* hooks,
+Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks,
                                            bool allow_batching) {
+  has_pending_[tid] = 0;
+  const Action& a = threads_[tid].action();
   switch (a.kind) {
-    case Action::Kind::mem: {
-      const MemTiming tm =
-          a.is_preload ? mem_.burst(a.time, a.addr, a.bytes)
-                       : mem_.access(a.time, a.addr, a.bytes, a.is_write);
-      threads_[tid].mem_done(tm);
+    case Action::Kind::mem:
+      threads_[tid].commit_mem();
       advance(tid, allow_batching);
       return Commit::advanced;
-    }
     case Action::Kind::acquire: {
       emit_state(hooks, tid, ThreadState::spinning, a.time);
-      const auto grant = sem_.acquire(a.lock_id, tid, a.time);
+      const auto grant = sem_.acquire(a.id, tid, a.time);
       if (!grant.has_value()) {
         return Commit::parked;  // the grant arrives from a future release
       }
@@ -237,7 +236,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
       return Commit::advanced;
     }
     case Action::Kind::release: {
-      const auto r = sem_.release(a.lock_id, tid, a.time);
+      const auto r = sem_.release(a.id, tid, a.time);
       emit_state(hooks, tid, ThreadState::running, a.time);
       if (r.granted.has_value()) {
         const auto [waiter, gt] = *r.granted;
@@ -246,7 +245,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
         // The waiter resumes before this thread's next action time is
         // known, so its first resume must not batch past the heap.
         advance(waiter, false);
-        push_event(pending_[waiter].time, waiter);
+        push_event(threads_[waiter].action().time, waiter);
       }
       threads_[tid].release_done(r.release_done);
       advance(tid, allow_batching);
@@ -261,7 +260,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, const Action& a,
           emit_state(hooks, w, ThreadState::running, when);
           threads_[w].barrier_released(when);
           advance(w, false);
-          push_event(pending_[w].time, w);
+          push_event(threads_[w].action().time, w);
         }
       }
       // The arriving thread's own continuation (when it is the releaser)
@@ -288,19 +287,17 @@ void Simulator::run_reference(SimHooks* hooks) {
   if (heap_.empty()) return;
   Event ev = pop_event();
   for (;;) {
-    check_cycle_limit(params_, ev.tid, ev.time);
-    const thread_id_t tid = ev.tid;
+    check_cycle_limit(params_, ev.tid(), ev.time());
+    const thread_id_t tid = ev.tid();
     bool advanced = true;
     if (!started_[tid]) {
-      start_thread(tid, ev.time, hooks, false);
+      start_thread(tid, ev.time(), hooks, false);
     } else {
       HLSPROF_CHECK(has_pending_[tid], "event without pending action");
-      has_pending_[tid] = 0;
-      advanced =
-          commit_action(tid, pending_[tid], hooks, false) == Commit::advanced;
+      advanced = commit_action(tid, hooks, false) == Commit::advanced;
     }
     if (advanced) {
-      ev = push_pop_event(pending_[tid].time, tid);
+      ev = push_pop_event(threads_[tid].action().time, tid);
     } else if (heap_.empty()) {
       return;
     } else {
@@ -313,17 +310,16 @@ void Simulator::run_fast(SimHooks* hooks) {
   if (heap_.empty()) return;
   Event ev = pop_event();
   for (;;) {
-    check_cycle_limit(params_, ev.tid, ev.time);
-    const thread_id_t tid = ev.tid;
+    check_cycle_limit(params_, ev.tid(), ev.time());
+    const thread_id_t tid = ev.tid();
 
     Commit c;
     if (!started_[tid]) {
-      start_thread(tid, ev.time, hooks, true);
+      start_thread(tid, ev.time(), hooks, true);
       c = Commit::advanced;
     } else {
       HLSPROF_CHECK(has_pending_[tid], "event without pending action");
-      has_pending_[tid] = 0;
-      c = commit_action(tid, pending_[tid], hooks, true);
+      c = commit_action(tid, hooks, true);
     }
 
     // Direct dispatch: while this thread's next action is strictly earlier
@@ -333,18 +329,17 @@ void Simulator::run_fast(SimHooks* hooks) {
     // it would in the reference loop.
     bool requeue = false;
     while (c == Commit::advanced) {
-      const cycle_t next_t = pending_[tid].time;
-      if (!heap_.empty() && next_t >= heap_.front().time) {
+      const cycle_t next_t = threads_[tid].action().time;
+      if (!heap_.empty() && next_t >= heap_.front().time()) {
         requeue = true;
         break;
       }
       check_cycle_limit(params_, tid, next_t);
       ++fast_stats_.direct_dispatch;
-      has_pending_[tid] = 0;
-      c = commit_action(tid, pending_[tid], hooks, true);
+      c = commit_action(tid, hooks, true);
     }
     if (requeue) {
-      ev = push_pop_event(pending_[tid].time, tid);
+      ev = push_pop_event(threads_[tid].action().time, tid);
     } else if (heap_.empty()) {
       return;
     } else {
@@ -376,7 +371,6 @@ SimResult Simulator::run(SimHooks* hooks) {
   // the Avalon slave (paper §V-D: software start overhead).
   threads_.clear();
   threads_.reserve(static_cast<std::size_t>(T));
-  pending_.assign(static_cast<std::size_t>(T), Action{});
   has_pending_.assign(static_cast<std::size_t>(T), 0);
   started_.assign(static_cast<std::size_t>(T), 0);
   stats_.assign(static_cast<std::size_t>(T), ThreadStats{});

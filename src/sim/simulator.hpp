@@ -130,18 +130,19 @@ class Simulator {
     bool bound = false;
   };
 
+  /// A heap entry ordered by (time, seq) as one 128-bit key: the time
+  /// in the high word, seq above the thread id in the low word. The id
+  /// takes the low 6 bits, hence num_threads <= 64.
   struct Event {
-    cycle_t time;
-    std::uint64_t seq;
-    thread_id_t tid;
-    bool operator>(const Event& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
+    unsigned __int128 key;
+    cycle_t time() const { return cycle_t(key >> 64); }
+    thread_id_t tid() const { return thread_id_t(key) & 63; }
+    bool operator>(const Event& o) const { return key > o.key; }
   };
 
   /// What committing one action did to its thread.
   enum class Commit : std::uint8_t {
-    advanced,  // the thread produced its next action (in pending_[tid])
+    advanced,  // the thread produced its next action
     parked,    // the thread blocked (semaphore queue / barrier)
     finished,  // the thread completed the kernel
   };
@@ -153,6 +154,9 @@ class Simulator {
   cycle_t copy_out(cycle_t t);
   cycle_t transfer_cycles(std::size_t bytes) const;
   std::vector<HostTransfer> transfers_;
+  Event make_event(cycle_t t, thread_id_t tid) {
+    return Event{(unsigned __int128)t << 64 | seq_++ << 6 | tid};
+  }
   void push_event(cycle_t t, thread_id_t tid);
   Event pop_event();
   /// push_event(t, tid) then pop_event() in one sift: the thread that just
@@ -161,10 +165,9 @@ class Simulator {
   void advance(thread_id_t tid, bool allow_batching);
   void start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
                     bool allow_batching);
-  /// `a` is the thread's pending_ slot: every use precedes the advance
-  /// that refills it.
-  Commit commit_action(thread_id_t tid, const Action& a, SimHooks* hooks,
-                       bool allow_batching);
+  /// Commits the thread's outstanding action; every use of it precedes
+  /// the advance that replaces it.
+  Commit commit_action(thread_id_t tid, SimHooks* hooks, bool allow_batching);
   void run_reference(SimHooks* hooks);
   void run_fast(SimHooks* hooks);
   void emit_state(SimHooks* hooks, thread_id_t tid, ThreadState s, cycle_t t);
@@ -180,10 +183,8 @@ class Simulator {
   std::vector<ArgValue> arg_values_;
   std::unordered_map<std::string, int> arg_index_;
 
-  // Flat per-thread storage: the pending-action slot is a plain Action
-  // plus a presence flag instead of std::optional.
+  // Flat per-thread storage; each thread holds its own outstanding action.
   std::vector<Thread> threads_;
-  std::vector<Action> pending_;
   std::vector<char> has_pending_;
   std::vector<char> started_;
   std::vector<Event> heap_;

@@ -429,7 +429,7 @@ void Thread::start(cycle_t t) {
 
 /// Tail of a memory request: stall accounting, the request's one profiling
 /// sample, functional data movement, and moving on to the next op.
-/// Reached from mem_done (event-loop round trip) and from the batched
+/// Reached from commit_mem (event-loop round trip) and from the batched
 /// inline paths — keeping it shared is what makes the two execution modes
 /// cycle-exact.
 [[gnu::always_inline]] inline void Thread::apply_mem(const MemTiming& timing) {
@@ -518,8 +518,21 @@ void Thread::start(cycle_t t) {
   ++pc_;
 }
 
-[[gnu::always_inline]] inline bool Thread::exec_ext(const Instr& in,
-                                                  Action& out) {
+[[gnu::always_inline]] inline addr_t Thread::ext_addr(
+    const Instr& in, std::int64_t index) const {
+  if (index < 0 || index > in.limit) [[unlikely]] out_of_bounds(in, index);
+  return args_[static_cast<std::size_t>(in.index)].base +
+         addr_t(index) * addr_t(in.stride);
+}
+
+[[gnu::always_inline]] inline bool Thread::suspend_mem(cycle_t issue) {
+  action_.kind = Action::Kind::mem;
+  action_.time = issue;
+  waiting_ = true;
+  return true;
+}
+
+[[gnu::always_inline]] inline bool Thread::exec_ext(const Instr& in) {
   const addr_t addr = ext_addr(in, w_[in.a].i);
   // Pipelined iterations issue VLOs at their scheduled offsets, shifted
   // by the stalls already accumulated this iteration: all of a thread's
@@ -545,21 +558,13 @@ void Thread::start(cycle_t t) {
     apply_mem(tm);
     return false;
   }
-  out = Action{};
-  out.kind = Action::Kind::mem;
-  out.time = issue;
-  out.addr = addr;
-  out.bytes = in.bytes;
-  out.is_write = is_write;
-  suspend_ = Suspend::mem;
-  return true;
+  return suspend_mem(issue);
 }
 
-Action Thread::resume() {
+void Thread::resume() {
   HLSPROF_CHECK(started_ && !finished_, "resume on a non-running thread");
-  HLSPROF_CHECK(suspend_ == Suspend::none,
-                "resume while waiting for a response");
-  Action a;
+  HLSPROF_CHECK(!waiting_, "resume while waiting for a response");
+  Action& a = action_;
   for (;;) {
     const Instr& in = code_[pc_];
     if (in.op < MOp::load_ext) {
@@ -571,16 +576,16 @@ Action Thread::resume() {
     switch (in.op) {
       case MOp::load_ext:
       case MOp::store_ext:
-        if (exec_ext(in, a)) return a;
+        if (exec_ext(in)) return;
         break;
       case MOp::preload:
-        if (exec_preload(in, a)) return a;
+        if (exec_preload(in)) return;
         break;
       case MOp::loop_enter:
-        if (enter_loop(std::size_t(in.index), a)) return a;
+        if (enter_loop(std::size_t(in.index))) return;
         break;
       case MOp::loop_next:
-        if (next_iteration(std::size_t(in.index), a)) return a;
+        if (next_iteration(std::size_t(in.index))) return;
         break;
       case MOp::branch:
         pc_ = w_[in.a].i != 0 ? pc_ + 1 : in.target;
@@ -594,19 +599,18 @@ Action Thread::resume() {
         a.kind = in.op == MOp::acquire ? Action::Kind::acquire
                                        : Action::Kind::release;
         a.time = time_;
-        a.lock_id = in.index;
-        suspend_ =
-            in.op == MOp::acquire ? Suspend::acquire : Suspend::release;
+        a.id = in.index;
+        waiting_ = true;
         flush_compute(time_);
-        return a;
+        return;
       case MOp::barrier:
         ++pc_;
         a.kind = Action::Kind::barrier;
         a.time = time_;
-        a.barrier_id = in.index;
-        suspend_ = Suspend::barrier;
+        a.id = in.index;
+        waiting_ = true;
         flush_compute(time_);
-        return a;
+        return;
       case MOp::con_begin: {
         flush_compute(time_);  // branch replay rewinds the clock
         cons_[std::size_t(in.index)] = ConState{time_, time_};
@@ -631,14 +635,14 @@ Action Thread::resume() {
         finished_ = true;
         a.kind = Action::Kind::finished;
         a.time = time_;
-        return a;
+        return;
       default:
         fail("unreachable micro-op");
     }
   }
 }
 
-bool Thread::enter_loop(std::size_t li, Action& out) {
+bool Thread::enter_loop(std::size_t li) {
   const LoopDesc& L = prog_.loops()[li];
   LoopState& ls = loops_[li];
   ls = LoopState{};
@@ -651,10 +655,10 @@ bool Thread::enter_loop(std::size_t li, Action& out) {
   w_[L.var].i = ls.iv;
   time_ += params_.ctrl.loop_entry_overhead;
   ls.loop_end = time_;
-  return begin_iteration_or_exit(li, out);
+  return begin_iteration_or_exit(li);
 }
 
-bool Thread::next_iteration(std::size_t li, Action& out) {
+bool Thread::next_iteration(std::size_t li) {
   const LoopDesc& L = prog_.loops()[li];
   LoopState& ls = loops_[li];
   if (L.pipelined) {
@@ -663,10 +667,10 @@ bool Thread::next_iteration(std::size_t li, Action& out) {
   }
   ls.iv += ls.step;
   w_[L.var].i = ls.iv;
-  return begin_iteration_or_exit(li, out);
+  return begin_iteration_or_exit(li);
 }
 
-bool Thread::begin_iteration_or_exit(std::size_t li, Action& out) {
+bool Thread::begin_iteration_or_exit(std::size_t li) {
   const LoopDesc& L = prog_.loops()[li];
   LoopState& ls = loops_[li];
   if (!(ls.iv < ls.bound)) {
@@ -691,11 +695,11 @@ bool Thread::begin_iteration_or_exit(std::size_t li, Action& out) {
   ls.first_iter = false;
   ls.iter_stall = 0;
   pipe_ = &ls;
-  if (L.simple && mem_horizon_ != 0) return run_batched_iterations(li, out);
+  if (L.simple && mem_horizon_ != 0) return run_batched_iterations(li);
   return false;
 }
 
-bool Thread::run_batched_iterations(std::size_t li, Action& out) {
+bool Thread::run_batched_iterations(std::size_t li) {
   // Cycle-exactness: every effect below reuses the generic machinery's
   // code (eval, exec_ext, apply_mem, the loop arithmetic of
   // next_iteration/begin_iteration_or_exit) — only the dispatch around it
@@ -728,7 +732,7 @@ bool Thread::run_batched_iterations(std::size_t li, Action& out) {
         eval(in);
         ++pc_;
       } else if (in.op == MOp::preload) {
-        if (exec_preload(in, out)) return true;  // batched inline or suspended
+        if (exec_preload(in)) return true;  // batched inline or suspended
       } else {
         const cycle_t issue =
             ls.iter_base + cycle_t(in.start) + ls.iter_stall;
@@ -736,7 +740,7 @@ bool Thread::run_batched_iterations(std::size_t li, Action& out) {
           // Another thread has an event at or before `issue`: hand the
           // request to the generic path, which re-derives it and returns
           // the Action for the event loop to commit in global order.
-          return exec_ext(in, out);
+          return exec_ext(in);
         }
         check_cycle_limit(params_, tid_, issue);
         const addr_t addr = ext_addr(in, w_[in.a].i);
@@ -962,7 +966,7 @@ void Thread::ff_project_rows(const ff::LoopPhase& ph, std::int64_t skip) {
   }
 }
 
-bool Thread::exec_preload(const Instr& in, Action& out) {
+bool Thread::exec_preload(const Instr& in) {
   const std::int64_t src_index = w_[in.a].i;
   const std::int64_t dst_index = w_[in.b].i;
   const std::int64_t count = w_[in.c].i;
@@ -1003,39 +1007,41 @@ bool Thread::exec_preload(const Instr& in, Action& out) {
     apply_mem(tm);
     return false;
   }
-  out = Action{};
-  out.kind = Action::Kind::mem;
-  out.time = issue;
-  out.addr = addr;
-  out.bytes = bytes;
-  out.is_write = false;
-  out.is_preload = true;
-  suspend_ = Suspend::mem;
-  return true;
+  return suspend_mem(issue);
 }
 
-void Thread::mem_done(const MemTiming& timing) {
-  HLSPROF_CHECK(suspend_ == Suspend::mem, "unexpected mem_done");
-  suspend_ = Suspend::none;
-  apply_mem(timing);
+void Thread::commit_mem() {
+  HLSPROF_CHECK(waiting_ && action_.kind == Action::Kind::mem,
+                "unexpected commit_mem");
+  waiting_ = false;
+  const Instr& in = *pending_;
+  apply_mem(in.op == MOp::preload
+                ? mem_.burst(pending_issue_, pending_addr_,
+                             std::uint32_t(pending_count_ *
+                                           std::int64_t(in.bytes)))
+                : mem_.access(pending_issue_, pending_addr_, in.bytes,
+                              in.op == MOp::store_ext));
 }
 
 void Thread::lock_granted(cycle_t t) {
-  HLSPROF_CHECK(suspend_ == Suspend::acquire, "unexpected lock_granted");
-  suspend_ = Suspend::none;
+  HLSPROF_CHECK(waiting_ && action_.kind == Action::Kind::acquire,
+                "unexpected lock_granted");
+  waiting_ = false;
   time_ = std::max(time_, t);
   last_flush_ = std::max(last_flush_, time_);
 }
 
 void Thread::release_done(cycle_t t) {
-  HLSPROF_CHECK(suspend_ == Suspend::release, "unexpected release_done");
-  suspend_ = Suspend::none;
+  HLSPROF_CHECK(waiting_ && action_.kind == Action::Kind::release,
+                "unexpected release_done");
+  waiting_ = false;
   time_ = std::max(time_, t);
 }
 
 void Thread::barrier_released(cycle_t t) {
-  HLSPROF_CHECK(suspend_ == Suspend::barrier, "unexpected barrier_released");
-  suspend_ = Suspend::none;
+  HLSPROF_CHECK(waiting_ && action_.kind == Action::Kind::barrier,
+                "unexpected barrier_released");
+  waiting_ = false;
   time_ = std::max(time_, t);
   last_flush_ = std::max(last_flush_, time_);
 }
@@ -1057,16 +1063,12 @@ void Thread::flush_compute(cycle_t now) {
   last_flush_ = t1;
 }
 
-addr_t Thread::ext_addr(const Instr& in, std::int64_t index) const {
-  if (index < 0 || index > in.limit) [[unlikely]] {
-    const ir::Arg& arg = k_.args[static_cast<std::size_t>(in.index)];
-    fail(strf("kernel '%s': out-of-bounds access to '%s' (index %lld + %d "
-              "lanes exceeds mapped count %lld)",
-              k_.name.c_str(), arg.name.c_str(), static_cast<long long>(index),
-              int(in.lanes), static_cast<long long>(arg.count)));
-  }
-  return args_[static_cast<std::size_t>(in.index)].base +
-         addr_t(index) * addr_t(in.stride);
+void Thread::out_of_bounds(const Instr& in, std::int64_t index) const {
+  const ir::Arg& arg = k_.args[static_cast<std::size_t>(in.index)];
+  fail(strf("kernel '%s': out-of-bounds access to '%s' (index %lld + %d "
+            "lanes exceeds mapped count %lld)",
+            k_.name.c_str(), arg.name.c_str(), static_cast<long long>(index),
+            int(in.lanes), static_cast<long long>(arg.count)));
 }
 
 }  // namespace hlsprof::sim

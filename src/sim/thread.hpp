@@ -8,8 +8,8 @@
 //
 // The thread is a resumable state machine: `resume()` runs until it needs
 // a shared resource (external memory, the semaphore, a barrier) and
-// returns the corresponding Action; the simulator's event loop commits
-// actions in global time order and feeds the result back.
+// leaves the corresponding Action in the thread; the simulator's event
+// loop commits actions in global time order and feeds the result back.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,8 @@ struct ArgValue {
 };
 
 /// A shared-resource interaction the thread needs the simulator to commit.
+/// A memory request's address and size stay in the thread, which commits
+/// it itself (Thread::commit_mem).
 struct Action {
   enum class Kind : std::uint8_t {
     mem,       // external memory request
@@ -41,23 +43,8 @@ struct Action {
     finished,  // thread completed the kernel
   };
   cycle_t time = 0;  // issue/request cycle
-
-  // kind == mem:
-  addr_t addr = 0;
-  std::uint32_t bytes = 0;
-
-  // kind == acquire/release:
-  int lock_id = 0;
-  // kind == barrier:
-  int barrier_id = 0;
-
+  int id = 0;        // lock id (acquire/release) or barrier id
   Kind kind = Kind::finished;
-  // kind == mem:
-  bool is_write = false;
-  /// Preloader DMA burst (paper Fig. 1): serviced as back-to-back line
-  /// requests on the preloader's own bus master instead of one
-  /// element-sized request on the thread's port.
-  bool is_preload = false;
 };
 
 /// Livelock guard of both event loops and the batched paths: fails once
@@ -81,12 +68,14 @@ class Thread {
   /// Begin execution at cycle `t` (the host started this thread).
   void start(cycle_t t);
 
-  /// Run until the next Action. Must not be called while an Action is
-  /// outstanding (feed the response first).
-  Action resume();
+  /// Run until the next Action, which action() then holds. Must not be
+  /// called while an Action is outstanding (feed the response first).
+  void resume();
+  const Action& action() const { return action_; }
 
-  /// Responses to the previously returned action:
-  void mem_done(const MemTiming& timing);
+  /// Responses to action(). commit_mem submits the outstanding memory
+  /// request to the memory model and applies its timing.
+  void commit_mem();
   void lock_granted(cycle_t t);
   void release_done(cycle_t t);
   void barrier_released(cycle_t t);
@@ -95,7 +84,7 @@ class Thread {
   /// the thread may commit external-memory requests whose issue cycle is
   /// *strictly* below `horizon` directly against the memory model —
   /// bank/bus state advances and each request is sampled exactly as if
-  /// it had taken an Action round-trip through the event loop. The
+  /// it had taken a round trip through the event loop. The
   /// simulator sets the horizon to the earliest other pending event
   /// before every resume (kNoCycle when no other thread has one); 0
   /// disables batching (the reference event loop never raises it).
@@ -136,33 +125,28 @@ class Thread {
     ff::LoopPhase phase;
   };
 
-  enum class Suspend : std::uint8_t {
-    none,
-    mem,       // waiting for mem_done
-    acquire,   // waiting for lock_granted
-    release,   // waiting for release_done
-    barrier,   // waiting for barrier_released
-  };
-
   void eval(const Instr& in);
-  bool exec_ext(const Instr& in, Action& out);
-  bool exec_preload(const Instr& in, Action& out);
+  bool exec_ext(const Instr& in);
+  bool exec_preload(const Instr& in);
+  bool suspend_mem(cycle_t issue);  // leaves the request to the event loop
   void apply_mem(const MemTiming& timing);  // shared mem-commit tail
   addr_t ext_addr(const Instr& in, std::int64_t index) const;
+  [[noreturn, gnu::cold]] void out_of_bounds(const Instr& in,
+                                             std::int64_t index) const;
   void flush_compute(cycle_t now);
   /// Loop control: set up an instance / finish an iteration, then start
   /// the next iteration or leave the loop. Returns true if the batched
   /// executor produced an Action.
-  bool enter_loop(std::size_t li, Action& out);
-  bool next_iteration(std::size_t li, Action& out);
-  bool begin_iteration_or_exit(std::size_t li, Action& out);
+  bool enter_loop(std::size_t li);
+  bool next_iteration(std::size_t li);
+  bool begin_iteration_or_exit(std::size_t li);
   /// Batched executor for pipelined loops whose body is straight-line ops:
   /// runs iterations in a tight loop, committing memory requests inline
   /// while they stay below the batching horizon and handing the request
   /// that reaches it to the generic path. Only entered when batching is
   /// active (fast path); the reference event loop must suspend at every
   /// memory action. PRE: pc_ is the loop's first body op.
-  bool run_batched_iterations(std::size_t li, Action& out);
+  bool run_batched_iterations(std::size_t li);
   /// Fast-forward phase tracker of loop `li` (approx mode only): nullptr
   /// when the loop cannot fast-forward (no external ops, preloads in the
   /// body, or not pipelined).
@@ -209,7 +193,8 @@ class Thread {
   /// The innermost active pipelined loop, or nullptr (sequential mode).
   LoopState* pipe_ = nullptr;
 
-  Suspend suspend_ = Suspend::none;
+  Action action_;
+  bool waiting_ = false;  // action_ awaits its response
   const Instr* pending_ = nullptr;  // the memory op awaiting its timing
   addr_t pending_addr_ = 0;
   cycle_t pending_issue_ = 0;

@@ -14,6 +14,32 @@
 namespace hlsprof {
 namespace {
 
+// ---- error ----------------------------------------------------------------
+
+TEST(Error, CheckFailureMessageIsPinned) {
+  // Tests and users match on this text; the failure path's layout must
+  // not change it.
+  const std::string where = std::string(" (") + __FILE__ + ":";
+  const int line = __LINE__ + 2;
+  try {
+    HLSPROF_CHECK(1 + 1 == 3, "sum is off");
+    ADD_FAILURE() << "no error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "check failed: 1 + 1 == 3 \xe2\x80\x94 sum is off" + where +
+                  std::to_string(line) + ")");
+  }
+  const std::string detail = strf("got %d", 7);
+  try {
+    HLSPROF_CHECK(detail.empty(), detail + "!");
+    ADD_FAILURE() << "no error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "check failed: detail.empty() \xe2\x80\x94 got 7!" + where +
+                  std::to_string(line + 9) + ")");
+  }
+}
+
 // ---- stats ----------------------------------------------------------------
 
 TEST(Stats, GeomeanBasic) {

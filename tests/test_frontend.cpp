@@ -264,6 +264,25 @@ TEST(Frontend, FoldedOverflowInTheBodyNamesItsLine) {
   }
 }
 
+TEST(Frontend, IntConstantOutsideInt32NamesItsLine) {
+  // C gives `s < 1` true here and `s + 0` an int64 sum; a wrapped i32
+  // word would give neither, so the constant is rejected.
+  const std::string src = "void f(float* x) {\n"
+                          "#pragma omp target parallel map(tofrom: x[0:4])\n"
+                          "{ int s = 4294967296;\n"
+                          "  if (s < 1) { x[0] = 1.0f; }\n"
+                          "  x[1] = s + 0; } }";
+  try {
+    compile_source(src);
+    ADD_FAILURE() << "no error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3:"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("4294967296"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Frontend, InclusiveLoopBoundOverflowNamesItsLine) {
   // `i <= b` is normalized to `i < b + 1`, which folds.
   const std::string src =

@@ -81,6 +81,22 @@ TEST(Builder, ConstantsHaveTypesAndPayloads) {
   EXPECT_DOUBLE_EQ(k.op(b.id()).f_imm, 2.5);
 }
 
+TEST(Builder, I32ImmediateOutsideInt32Rejected) {
+  // An i32 word holding 2^32 would compare as 2^32 but compute as 0.
+  for (const std::int64_t v : {std::int64_t{1} << 32,
+                               std::int64_t{INT32_MAX} + 1,
+                               std::int64_t{INT32_MIN} - 1}) {
+    KernelBuilder kb("k", 1);
+    kb.c32(v);
+    EXPECT_THROW(std::move(kb).finish(), Error) << v;
+  }
+  KernelBuilder kb("k", 1);
+  kb.c32(INT32_MIN);
+  kb.c32(INT32_MAX);
+  kb.c64(std::int64_t{1} << 32);
+  EXPECT_NO_THROW(std::move(kb).finish());
+}
+
 TEST(Builder, TypeDirectedArithmetic) {
   KernelBuilder kb("k", 1);
   Val i = kb.c32(1) + kb.c32(2);

@@ -38,6 +38,23 @@ TEST(Verifier, AcceptsMinimalKernel) {
   EXPECT_NO_THROW(verify(k));
 }
 
+TEST(Verifier, RejectsThreadCountOutsideOneTo64) {
+  for (const int t : {0, 65, INT32_MAX}) {
+    Kernel k = blank();
+    k.num_threads = t;
+    try {
+      verify(k);
+      ADD_FAILURE() << "no error for num_threads " << t;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("num_threads"), std::string::npos)
+          << e.what();
+    }
+  }
+  Kernel k = blank();
+  k.num_threads = 64;
+  EXPECT_NO_THROW(verify(k));
+}
+
 TEST(Verifier, RejectsUseBeforeDef) {
   Kernel k = blank();
   Op add;

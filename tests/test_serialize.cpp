@@ -222,6 +222,31 @@ TEST(Serialize, EveryTruncationThrowsCleanly) {
   }
 }
 
+TEST(Serialize, ThreadCountOutsideOneTo64Throws) {
+  // A disk-store entry is untrusted: the simulator packs thread ids into
+  // 6 bits, so a count outside [1,64] must not decode.
+  workloads::GemmConfig cfg;
+  cfg.dim = 8;
+  const hls::Design design = hls::compile(workloads::gemm_naive(cfg));
+  const std::string good = hls::serialize_design(design);
+  // magic u32, version u32, kernel name (u32 length + bytes), num_threads.
+  const std::size_t at = 12 + design.kernel.name.size();
+  ASSERT_EQ(ByteReader(good.substr(at, 4)).i32(), design.kernel.num_threads);
+  for (const std::int32_t t : {0, 65, INT32_MAX}) {
+    ByteWriter w;
+    w.i32(t);
+    std::string bad = good;
+    bad.replace(at, 4, w.data());
+    try {
+      hls::deserialize_design(bad);
+      ADD_FAILURE() << "no error for num_threads " << t;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("num_threads"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Serialize, BadMagicVersionAndGarbageThrow) {
   workloads::GemmConfig cfg;
   cfg.dim = 8;
