@@ -16,7 +16,6 @@
 #include "core/hlsprof.hpp"
 #include "frontend/lower.hpp"
 #include "hls/report.hpp"
-#include "ir/printer.hpp"
 #include "paraver/analysis.hpp"
 #include "paraver/ascii.hpp"
 #include "paraver/writer.hpp"

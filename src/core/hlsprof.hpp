@@ -53,7 +53,6 @@ struct RunOptions {
   sim::SimParams sim;
   profiling::ProfilingConfig profiling;
   bool enable_profiling = true;
-  std::size_t mem_capacity = std::size_t{64} << 20;
   /// Optional live observer of the canonical timeline fold: called with
   /// the run's TimedTraceBuilder after each decoded flush burst and once
   /// after the final drain, on the thread running the simulation. The
@@ -105,7 +104,7 @@ class Session {
                    RunOptions opts = RunOptions{})
       : design_(std::move(design)),
         opts_(opts),
-        sim_(checked(design_), opts.sim, opts.mem_capacity) {
+        sim_(checked(design_), opts.sim) {
     if (opts_.enable_profiling) {
       unit_ = std::make_unique<profiling::ProfilingUnit>(
           *design_, opts_.profiling, sim_.memory());

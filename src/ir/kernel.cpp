@@ -4,16 +4,6 @@
 
 namespace hlsprof::ir {
 
-const char* map_dir_name(MapDir d) {
-  switch (d) {
-    case MapDir::to: return "to";
-    case MapDir::from: return "from";
-    case MapDir::tofrom: return "tofrom";
-    case MapDir::alloc: return "alloc";
-  }
-  return "?";
-}
-
 const Op& Kernel::op(ValueId v) const {
   HLSPROF_CHECK(v >= 0 && static_cast<std::size_t>(v) < ops.size(),
                 "ValueId out of range");

@@ -19,8 +19,6 @@ namespace hlsprof::ir {
 /// OpenMP map() clause direction for pointer arguments (paper §III-A).
 enum class MapDir : std::uint8_t { to, from, tofrom, alloc };
 
-const char* map_dir_name(MapDir d);
-
 /// Kernel argument: either a scalar passed by value or a pointer into
 /// external (DRAM) memory with an OpenMP-style map clause.
 struct Arg {
@@ -124,8 +122,8 @@ struct Kernel {
   const Op& op(ValueId v) const;
 };
 
-/// Walk all regions of a kernel depth-first, invoking `fn` on each stmt.
-/// `fn` receives (region, stmt index). Used by verifier/printer/HLS passes.
+/// Walk `r` and every region nested in it depth-first, invoking `fn` on
+/// each region. Used by the HLS compiler and the simulator lowering.
 void for_each_region(const Region& r,
                      const std::function<void(const Region&)>& fn);
 

@@ -1,23 +1,6 @@
 #include "ir/op.hpp"
 
-#include "common/strings.hpp"
-
 namespace hlsprof::ir {
-
-std::string to_string(Scalar s) {
-  switch (s) {
-    case Scalar::i32: return "i32";
-    case Scalar::i64: return "i64";
-    case Scalar::f32: return "f32";
-    case Scalar::f64: return "f64";
-  }
-  return "?";
-}
-
-std::string to_string(const Type& t) {
-  if (t.lanes == 1) return to_string(t.scalar);
-  return to_string(t.scalar) + "x" + std::to_string(t.lanes);
-}
 
 const char* opcode_name(Opcode op) {
   switch (op) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/error.hpp"
 
@@ -58,8 +57,5 @@ struct Type {
   }
   bool operator!=(const Type& o) const { return !(*this == o); }
 };
-
-std::string to_string(Scalar s);
-std::string to_string(const Type& t);
 
 }  // namespace hlsprof::ir

@@ -19,13 +19,6 @@ struct ProfilingConfig {
   /// adjustable; finer periods produce larger traces).
   cycle_t sampling_period = 8192;
 
-  /// How far (in cycles) behind the newest observed timestamp a sampling
-  /// window is closed and its records emitted. Late-arriving aggregates
-  /// (e.g. compute that executed concurrently with a long prefetch) are
-  /// still accepted within this lag; at least one sampling period is
-  /// always kept open.
-  cycle_t finalize_lag = 16384;
-
   /// On-chip trace buffer capacity in 512-bit lines; the buffer flushes to
   /// external memory when nearly full (paper §IV-B1).
   int buffer_lines = 64;

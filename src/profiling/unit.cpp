@@ -22,6 +22,13 @@ EventKind metric_kind(int m) {
   }
   fail("bad metric index");
 }
+
+// How far (in cycles) behind the newest observed timestamp a sampling
+// window is closed and its records emitted. Late-arriving aggregates
+// (e.g. compute that executed concurrently with a long prefetch) are
+// still accepted within this lag; at least one sampling period is always
+// kept open.
+constexpr cycle_t kFinalizeLag = 16384;
 }  // namespace
 
 ProfilingUnit::ProfilingUnit(const hls::Design& design,
@@ -42,7 +49,7 @@ ProfilingUnit::ProfilingUnit(const hls::Design& design,
   trace_base_ = mem_.allocate("profiling-trace", cfg_.trace_region_bytes);
   state_now_.assign(std::size_t(T_), 0 /*idle*/);
   stride_ = std::size_t(kMetrics * T_);
-  lag_ = std::max(cfg_.finalize_lag, cfg_.sampling_period);
+  lag_ = std::max(kFinalizeLag, cfg_.sampling_period);
   close_at_ = cfg_.sampling_period + lag_;
 }
 

@@ -6,7 +6,7 @@
 
 namespace hlsprof::sim::ff {
 
-void LoopPhase::begin_instance(std::int64_t n, const FastForwardParams& p) {
+void LoopPhase::begin_instance(std::int64_t n) {
   if (inst_active && iter_index == 0) return;  // re-entry at iteration 0
   if (dormant > 0) {
     // Decline backoff: sit out this instance entirely (the thread
@@ -24,8 +24,6 @@ void LoopPhase::begin_instance(std::int64_t n, const FastForwardParams& p) {
   jumped = false;
   strides_broken = false;
   n_iters = n;
-  pro_iters = std::max<std::int64_t>(2, p.prologue_iters);
-  margin_iters = std::max<std::int64_t>(1, p.margin_iters);
   iter_index = 0;
   cursor = 0;
   iter_ok = false;
@@ -91,13 +89,13 @@ void LoopPhase::note_mem(addr_t addr, bool row_hit) {
     }
   }
   ot.last_addr = addr;
-  if (iter_index >= pro_iters && iter_index < n_iters - margin_iters) {
+  if (iter_index >= kPrologueIters && iter_index < n_iters - kMarginIters) {
     span_hits += row_hit ? 1 : 0;
   }
-  if (intra_active && iter_index >= pro_iters) {
-    if (iter_index < pro_iters + intra_w) {
+  if (intra_active && iter_index >= kPrologueIters) {
+    if (iter_index < kPrologueIters + intra_w) {
       win1_hits += row_hit ? 1 : 0;
-    } else if (iter_index < pro_iters + 2 * intra_w) {
+    } else if (iter_index < kPrologueIters + 2 * intra_w) {
       win2_hits += row_hit ? 1 : 0;
     }
   }
@@ -146,8 +144,7 @@ std::uint64_t LoopPhase::signature() const {
 
 bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
                               cycle_t iter_cycles, long long iter_int,
-                              long long iter_fp,
-                              const FastForwardParams& p) {
+                              long long iter_fp) {
   const bool full = iter_ok && cursor == ops.size();
   cursor = 0;
   iter_ok = false;
@@ -164,19 +161,19 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
   expect_valid = true;
   expect_iv = iv + step;
   const std::int64_t k = iter_index++;
-  if (k < pro_iters) {
+  if (k < kPrologueIters) {
     pro_cycles += iter_cycles;
-  } else if (k < n_iters - margin_iters) {
+  } else if (k < n_iters - kMarginIters) {
     span_cycles += iter_cycles;
   } else {
     tail_cycles += iter_cycles;
   }
-  if (intra_active && k >= pro_iters) {
-    if (k < pro_iters + intra_w) {
+  if (intra_active && k >= kPrologueIters) {
+    if (k < kPrologueIters + intra_w) {
       win1_cycles += iter_cycles;
-    } else if (k < pro_iters + 2 * intra_w) {
+    } else if (k < kPrologueIters + 2 * intra_w) {
       win2_cycles += iter_cycles;
-      if (k == pro_iters + 2 * intra_w - 1) {
+      if (k == kPrologueIters + 2 * intra_w - 1) {
         intra_active = false;
         // Two whole-row-aligned windows costing exactly the same cycles
         // and row hits prove the pattern periodic with period intra_w;
@@ -186,7 +183,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
         if (win1_cycles == win2_cycles && win1_hits == win2_hits &&
             !strides_broken) {
           const std::int64_t budget =
-              n_iters - margin_iters - (pro_iters + 2 * intra_w);
+              n_iters - kMarginIters - (kPrologueIters + 2 * intra_w);
           const std::int64_t k_jump = budget / intra_w;
           if (k_jump >= 1) {
             Calibration c;
@@ -199,8 +196,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
             c.span_hits = k_jump * win2_hits;
             c.strides.reserve(ops.size());
             for (const OpTrack& ot : ops) c.strides.push_back(ot.stride);
-            if (cache.size() >=
-                    std::size_t(std::max(1, p.max_cache_entries)) &&
+            if (cache.size() >= kMaxCacheEntries &&
                 cache.find(pending_sig) == cache.end()) {
               cache.clear();
             }
@@ -214,13 +210,13 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
       }
     }
   }
-  if (k != pro_iters - 1) return false;
+  if (k != kPrologueIters - 1) return false;
 
   // ---- decision point: the prologue just completed ----------------------
-  const std::int64_t span_len = n_iters - pro_iters - margin_iters;
+  const std::int64_t span_len = n_iters - kPrologueIters - kMarginIters;
   if (span_len <= 0 || strides_broken) return false;  // nothing to skip
   for (const OpTrack& ot : ops) {
-    if (!ot.have_stride) return false;  // (pro_iters >= 2 guarantees these)
+    if (!ot.have_stride) return false;  // (kPrologueIters >= 2 sets these)
   }
   pending_sig = signature();
   // Within a segment (every stream sliding by its established delta, no
@@ -257,7 +253,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
     // The probe: the real prologue must cost what the calibrated one
     // did, or the memory state diverged and the record is stale.
     const double tol =
-        p.probe_rel_tol * double(cand->pro_cycles) + p.probe_abs_slack;
+        kProbeRelTol * double(cand->pro_cycles) + kProbeAbsSlack;
     if (std::fabs(double(pro_cycles) - double(cand->pro_cycles)) <= tol) {
       return true;  // the thread jumps using cand
     }
@@ -266,7 +262,7 @@ bool LoopPhase::end_iteration(std::int64_t iv, std::int64_t step,
   // forward via in-instance periodic windows if the remaining span fits
   // prologue + two measurement windows + at least one skippable window.
   const std::int64_t w = intra_window();
-  if (w > 0 && n_iters - margin_iters - (pro_iters + 2 * w) >= w) {
+  if (w > 0 && n_iters - kMarginIters - (kPrologueIters + 2 * w) >= w) {
     intra_active = true;
     intra_w = w;
     return false;
@@ -294,8 +290,7 @@ std::int64_t LoopPhase::intra_window() const {
   return w;
 }
 
-bool LoopPhase::finish_instance(cycle_t final_iter_cycles,
-                                const FastForwardParams& p) {
+bool LoopPhase::finish_instance(cycle_t final_iter_cycles) {
   const bool full = iter_ok && cursor == ops.size();
   cursor = 0;
   iter_ok = false;
@@ -312,9 +307,9 @@ bool LoopPhase::finish_instance(cycle_t final_iter_cycles,
     return false;
   }
   const std::int64_t k = iter_index++;
-  if (k < pro_iters) {
+  if (k < kPrologueIters) {
     pro_cycles += final_iter_cycles;
-  } else if (k < n_iters - margin_iters) {
+  } else if (k < n_iters - kMarginIters) {
     span_cycles += final_iter_cycles;
   } else {
     tail_cycles += final_iter_cycles;
@@ -325,13 +320,13 @@ bool LoopPhase::finish_instance(cycle_t final_iter_cycles,
   c.valid = true;
   c.model_ok = false;  // the thread gates it against the model next
   c.n_iters = n_iters;
-  c.span_iters = n_iters - pro_iters - margin_iters;
+  c.span_iters = n_iters - kPrologueIters - kMarginIters;
   c.pro_cycles = pro_cycles;
   c.span_cycles = span_cycles;
   c.span_hits = span_hits;
   c.strides.reserve(ops.size());
   for (const OpTrack& ot : ops) c.strides.push_back(ot.stride);
-  if (cache.size() >= std::size_t(std::max(1, p.max_cache_entries)) &&
+  if (cache.size() >= kMaxCacheEntries &&
       cache.find(pending_sig) == cache.end()) {
     cache.clear();  // pathological geometry churn: start over
   }

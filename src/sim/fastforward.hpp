@@ -13,10 +13,10 @@
 // geometry exactly, records how many cycles the prologue / middle span
 // / tail took and the row-hit count of the span, and caches the record
 // under a signature of that geometry. Later instances whose signature
-// matches run only `prologue_iters` real iterations (verifying strides
+// matches run only `kPrologueIters` real iterations (verifying strides
 // and comparing the prologue's real cost against the calibrated one —
 // the probe), then jump the loop frame over the middle span charging
-// the *calibrated exact* span cycles, and finish with `margin_iters`
+// the *calibrated exact* span cycles, and finish with `kMarginIters`
 // real iterations so pipeline-drain and loop-exit timing come from
 // executed code. A probe mismatch falls back to executing the instance
 // exactly, which re-calibrates the signature — the tier self-heals
@@ -41,6 +41,34 @@
 #include "sim/params.hpp"
 
 namespace hlsprof::sim::ff {
+
+// ---- tuning values of the tier (docs/PERF.md) ----------------------------
+
+/// Real iterations at the start of every predicted instance: they verify
+/// the per-op address strides and act as the probe whose real cost must
+/// match the calibration's prologue cost. A stride needs two.
+inline constexpr std::int64_t kPrologueIters = 2;
+/// Real iterations left to run after a jump, so pipeline-drain and
+/// loop-exit timing come from executed code.
+inline constexpr std::int64_t kMarginIters = 1;
+/// Probe tolerance: the real prologue may differ from the calibrated one
+/// by kProbeRelTol * calibrated + kProbeAbsSlack cycles before the
+/// instance falls back to an exact (re-calibrating) run. Kept tight on
+/// purpose — in a truly steady segment the prologue repeats exactly, and
+/// a single migrated row miss (~row_miss_penalty cycles) must trip the
+/// probe rather than be absorbed.
+inline constexpr double kProbeRelTol = 0.01;
+inline constexpr double kProbeAbsSlack = 2.0;
+/// Gate on the analytical model: a calibration's measured span rate must
+/// be within this relative residual of the DramParams prediction, or the
+/// geometry is not considered memory-governed and its instances are
+/// executed exactly.
+inline constexpr double kModelGate = 0.5;
+/// Jumps shorter than this are not worth the bookkeeping.
+inline constexpr cycle_t kMinSkipCycles = 256;
+/// Calibration-cache capacity per loop per thread; exceeding it (a
+/// pathological geometry churn) clears the cache and starts over.
+inline constexpr std::size_t kMaxCacheEntries = 256;
 
 /// Address tracking for one external-memory op of the loop body.
 struct OpTrack {
@@ -121,8 +149,6 @@ struct LoopPhase {
   bool jumped = false;        // a jump was applied this instance
   bool strides_broken = false;
   std::int64_t n_iters = 0;   // trip count of this instance
-  std::int64_t pro_iters = 2;
-  std::int64_t margin_iters = 1;
   std::int64_t iter_index = 0;  // index of the iteration in flight
   std::size_t cursor = 0;       // next expected ext op this iteration
   bool iter_ok = false;         // iteration observed from its start
@@ -160,7 +186,7 @@ struct LoopPhase {
 
   /// A new instance of the loop is starting (the executor is at the
   /// first iteration's first op, induction at its initial value).
-  void begin_instance(std::int64_t n, const FastForwardParams& p);
+  void begin_instance(std::int64_t n);
 
   /// An iteration is starting with induction value `iv`; `from_start`
   /// is false when the executor re-entered mid-iteration (an op already
@@ -176,14 +202,13 @@ struct LoopPhase {
   /// instance (signature, strides and probe all match) and the caller
   /// should jump using `cand`.
   bool end_iteration(std::int64_t iv, std::int64_t step, cycle_t iter_cycles,
-                     long long iter_int, long long iter_fp,
-                     const FastForwardParams& p);
+                     long long iter_int, long long iter_fp);
 
   /// The instance's final iteration (cycles `final_iter_cycles`) just
   /// completed and the loop is exiting. Returns true when a calibration
   /// was completed and stored in `cand` — the caller must then gate it
   /// against the analytical model (fill model_ok / model_residual).
-  bool finish_instance(cycle_t final_iter_cycles, const FastForwardParams& p);
+  bool finish_instance(cycle_t final_iter_cycles);
 
   /// A jump of `skipped` iterations was applied; resume tracking at
   /// `new_iv` with per-op addresses advanced to the last skipped

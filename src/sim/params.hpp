@@ -48,43 +48,6 @@ struct ControllerParams {
   cycle_t loop_iter_overhead = 2;  // sequential (non-pipelined) loops only
 };
 
-/// Tuning knobs of the analytical fast-forward tier (see
-/// SimParams::fast_forward and docs/PERF.md). The tier calibrates one
-/// exact instance per address geometry of a pipelined loop (caching the
-/// exact cycle split under a geometry signature), cross-checks each
-/// calibration against the analytical DRAM model derived from
-/// DramParams, and then runs matching instances as prologue + jump +
-/// margin, charging the calibrated exact span cycles.
-struct FastForwardParams {
-  /// Real iterations at the start of every predicted instance: they
-  /// verify the per-op address strides and act as the probe whose real
-  /// cost must match the calibration's prologue cost. Minimum 2 (a
-  /// stride needs two observations).
-  int prologue_iters = 2;
-  /// Real iterations left to run after a jump, so pipeline-drain and
-  /// loop-exit timing come from executed code. Minimum 1.
-  int margin_iters = 1;
-  /// Probe tolerance (relative part): the real prologue may differ from
-  /// the calibrated prologue by rel_tol * calibrated + abs_slack cycles
-  /// before the instance falls back to an exact (re-calibrating) run.
-  /// Kept tight on purpose — in a truly steady segment the prologue
-  /// repeats exactly, and a single migrated row miss (~row_miss_penalty
-  /// cycles) must trip the probe rather than be absorbed.
-  double probe_rel_tol = 0.01;
-  /// Probe tolerance (absolute part), cycles.
-  double probe_abs_slack = 2.0;
-  /// Gate on the analytical model: a calibration's measured span rate
-  /// must be within this relative residual of the DramParams prediction,
-  /// or the geometry is not considered memory-governed and its instances
-  /// are executed exactly.
-  double model_gate = 0.5;
-  /// Jumps shorter than this are not worth the bookkeeping.
-  cycle_t min_skip_cycles = 256;
-  /// Calibration-cache capacity per loop per thread; exceeding it (a
-  /// pathological geometry churn) clears the cache and starts over.
-  int max_cache_entries = 256;
-};
-
 struct SimParams {
   DramParams dram;
   SemaphoreParams sem;
@@ -94,11 +57,11 @@ struct SimParams {
   /// timing-only sweeps: addresses and control flow are still exact, but
   /// FP values are not computed and output buffers are not meaningful.
   bool functional = true;
-  /// Run the original heap-only event loop instead of the fast path
-  /// (direct dispatch + batched memory streams). The two modes are
-  /// cycle-exact against each other — identical SimResult fields and
-  /// byte-identical Paraver output; the reference mode exists as the
-  /// oracle for the differential test suite and for debugging.
+  /// Run the event loop heap-only, without the fast path (direct dispatch
+  /// + batched memory streams, which fast-forwarding also needs). The
+  /// two modes are cycle-exact against each other — identical SimResult
+  /// fields and byte-identical Paraver output; the reference mode exists
+  /// as the oracle for the differential test suite and for debugging.
   bool reference_event_loop = false;
   /// Opt-in approximate mode: analytically fast-forward steady-state
   /// memory-bound pipelined loop phases (manifest key `approx_trace`,
@@ -111,7 +74,6 @@ struct SimParams {
   /// compute loops, overlapping threads — execute bit-identically to the
   /// exact fast path.
   bool fast_forward = false;
-  FastForwardParams ff;
   /// Upper bound on simulated cycles (deadlock/livelock guard).
   cycle_t max_cycles = ~cycle_t{0} / 4;
 };

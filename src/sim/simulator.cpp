@@ -207,22 +207,20 @@ inline void Simulator::advance(thread_id_t tid, bool allow_batching) {
   has_pending_[tid] = 1;
 }
 
-void Simulator::start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
-                             bool allow_batching) {
+void Simulator::start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks) {
   started_[tid] = 1;
   emit_state(hooks, tid, ThreadState::running, t);
   threads_[tid].start(t);
-  advance(tid, allow_batching);
+  advance(tid, batching_);
 }
 
-Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks,
-                                           bool allow_batching) {
+Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks) {
   has_pending_[tid] = 0;
   const Action& a = threads_[tid].action();
   switch (a.kind) {
     case Action::Kind::mem:
       threads_[tid].commit_mem();
-      advance(tid, allow_batching);
+      advance(tid, batching_);
       return Commit::advanced;
     case Action::Kind::acquire: {
       emit_state(hooks, tid, ThreadState::spinning, a.time);
@@ -232,7 +230,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks,
       }
       emit_state(hooks, tid, ThreadState::critical, *grant);
       threads_[tid].lock_granted(*grant);
-      advance(tid, allow_batching);
+      advance(tid, batching_);
       return Commit::advanced;
     }
     case Action::Kind::release: {
@@ -248,7 +246,7 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks,
         push_event(threads_[waiter].action().time, waiter);
       }
       threads_[tid].release_done(r.release_done);
-      advance(tid, allow_batching);
+      advance(tid, batching_);
       return Commit::advanced;
     }
     case Action::Kind::barrier: {
@@ -283,62 +281,34 @@ Simulator::Commit Simulator::commit_action(thread_id_t tid, SimHooks* hooks,
   fail("unreachable action kind");
 }
 
-void Simulator::run_reference(SimHooks* hooks) {
+void Simulator::event_loop(SimHooks* hooks) {
   if (heap_.empty()) return;
   Event ev = pop_event();
   for (;;) {
     check_cycle_limit(params_, ev.tid(), ev.time());
     const thread_id_t tid = ev.tid();
-    bool advanced = true;
-    if (!started_[tid]) {
-      start_thread(tid, ev.time(), hooks, false);
-    } else {
-      HLSPROF_CHECK(has_pending_[tid], "event without pending action");
-      advanced = commit_action(tid, hooks, false) == Commit::advanced;
-    }
-    if (advanced) {
-      ev = push_pop_event(threads_[tid].action().time, tid);
-    } else if (heap_.empty()) {
-      return;
-    } else {
-      ev = pop_event();
-    }
-  }
-}
-
-void Simulator::run_fast(SimHooks* hooks) {
-  if (heap_.empty()) return;
-  Event ev = pop_event();
-  for (;;) {
-    check_cycle_limit(params_, ev.tid(), ev.time());
-    const thread_id_t tid = ev.tid();
-
     Commit c;
     if (!started_[tid]) {
-      start_thread(tid, ev.time(), hooks, true);
+      start_thread(tid, ev.time(), hooks);
       c = Commit::advanced;
     } else {
       HLSPROF_CHECK(has_pending_[tid], "event without pending action");
-      c = commit_action(tid, hooks, true);
+      c = commit_action(tid, hooks);
     }
 
     // Direct dispatch: while this thread's next action is strictly earlier
     // than every other pending event, commit it inline instead of a heap
     // round-trip. Strict `<`: an equal-time event already in the heap
     // carries an older sequence number and must win the tie, exactly as
-    // it would in the reference loop.
-    bool requeue = false;
-    while (c == Commit::advanced) {
+    // it would in reference mode.
+    while (batching_ && c == Commit::advanced) {
       const cycle_t next_t = threads_[tid].action().time;
-      if (!heap_.empty() && next_t >= heap_.front().time()) {
-        requeue = true;
-        break;
-      }
+      if (!heap_.empty() && next_t >= heap_.front().time()) break;
       check_cycle_limit(params_, tid, next_t);
       ++fast_stats_.direct_dispatch;
-      c = commit_action(tid, hooks, true);
+      c = commit_action(tid, hooks);
     }
-    if (requeue) {
+    if (c == Commit::advanced) {
       ev = push_pop_event(threads_[tid].action().time, tid);
     } else if (heap_.empty()) {
       return;
@@ -378,6 +348,7 @@ SimResult Simulator::run(SimHooks* hooks) {
   seq_ = 0;
   finished_count_ = 0;
   fast_stats_ = FastPathStats{};
+  batching_ = !params_.reference_event_loop;
 
   for (int t = 0; t < T; ++t) {
     threads_.emplace_back(prog_, arg_values_, thread_id_t(t), mem_, params_,
@@ -391,23 +362,20 @@ SimResult Simulator::run(SimHooks* hooks) {
   }
 
   ff_stats_ = FastForwardStats{};
-  if (params_.reference_event_loop) {
-    run_reference(hooks);
-  } else {
-    run_fast(hooks);
-    double residual_sum = 0.0;
-    for (const Thread& ti : threads_) {
-      fast_stats_.batched_mem +=
-          static_cast<std::uint64_t>(ti.batched_mem());
-      const ff::FfStats& fs = ti.ff_stats();
-      ff_stats_.phases += fs.phases;
-      ff_stats_.cycles_skipped += fs.cycles_skipped;
-      ff_stats_.model_rejects += fs.model_rejects;
-      residual_sum += fs.residual_sum;
-    }
-    if (ff_stats_.phases > 0) {
-      ff_stats_.model_residual = residual_sum / double(ff_stats_.phases);
-    }
+  event_loop(hooks);
+  // Without batching no thread commits inline or fast-forwards, so the
+  // reference mode leaves every count below at zero.
+  double residual_sum = 0.0;
+  for (const Thread& ti : threads_) {
+    fast_stats_.batched_mem += static_cast<std::uint64_t>(ti.batched_mem());
+    const ff::FfStats& fs = ti.ff_stats();
+    ff_stats_.phases += fs.phases;
+    ff_stats_.cycles_skipped += fs.cycles_skipped;
+    ff_stats_.model_rejects += fs.model_rejects;
+    residual_sum += fs.residual_sum;
+  }
+  if (ff_stats_.phases > 0) {
+    ff_stats_.model_residual = residual_sum / double(ff_stats_.phases);
   }
 
   if (finished_count_ != T) {

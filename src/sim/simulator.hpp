@@ -93,10 +93,10 @@ class Simulator {
   /// Throws hlsprof::Error on unbound arguments, kernel faults
   /// (out-of-bounds, div-by-zero), deadlock, or cycle-limit overrun.
   ///
-  /// Two execution modes produce cycle-exact identical results: the fast
+  /// One event loop runs in two cycle-exact identical modes: the fast
   /// path (default — direct dispatch plus batched memory streams) and the
-  /// reference event loop (`SimParams::reference_event_loop`), which
-  /// commits every shared-resource action through the global event heap.
+  /// reference mode (`SimParams::reference_event_loop`), which commits
+  /// every shared-resource action through the global event heap.
   SimResult run(SimHooks* hooks = nullptr);
 
   /// How often the previous run() stayed on the fast path. Zeros after a
@@ -163,13 +163,11 @@ class Simulator {
   /// ran usually goes straight back into the heap.
   Event push_pop_event(cycle_t t, thread_id_t tid);
   void advance(thread_id_t tid, bool allow_batching);
-  void start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks,
-                    bool allow_batching);
+  void start_thread(thread_id_t tid, cycle_t t, SimHooks* hooks);
   /// Commits the thread's outstanding action; every use of it precedes
   /// the advance that replaces it.
-  Commit commit_action(thread_id_t tid, SimHooks* hooks, bool allow_batching);
-  void run_reference(SimHooks* hooks);
-  void run_fast(SimHooks* hooks);
+  Commit commit_action(thread_id_t tid, SimHooks* hooks);
+  void event_loop(SimHooks* hooks);
   void emit_state(SimHooks* hooks, thread_id_t tid, ThreadState s, cycle_t t);
 
   const hls::Design& d_;
@@ -190,6 +188,8 @@ class Simulator {
   std::vector<Event> heap_;
   std::uint64_t seq_ = 0;
   int finished_count_ = 0;
+  /// Direct dispatch and the batching horizon; off in reference mode.
+  bool batching_ = true;
   std::vector<ThreadStats> stats_;
   FastPathStats fast_stats_;
   FastForwardStats ff_stats_;

@@ -717,7 +717,7 @@ bool Thread::run_batched_iterations(std::size_t li) {
             ls.bound > ls.iv_init
                 ? (ls.bound - ls.iv_init + ls.step - 1) / ls.step
                 : 0;
-        ph->begin_instance(trip, params_.ff);
+        ph->begin_instance(trip);
         if (!ph->inst_active) ph = nullptr;  // decline backoff: sit out
       }
       if (ph != nullptr) {
@@ -763,7 +763,7 @@ bool Thread::run_batched_iterations(std::size_t li) {
     ls.iv += ls.step;
     w_[L.var].i = ls.iv;
     if (!(ls.iv < ls.bound)) {
-      if (ph != nullptr && ph->finish_instance(iter_cycles, params_.ff)) {
+      if (ph != nullptr && ph->finish_instance(iter_cycles)) {
         ff_gate_model(L, *ph);  // a calibration completed: model-check it
       }
       time_ = std::max(time_, ls.loop_end);
@@ -777,7 +777,7 @@ bool Thread::run_batched_iterations(std::size_t li) {
     pc_ = L.body;
     if (ph != nullptr &&
         ph->end_iteration(iv_done, ls.step, iter_cycles, acc_int_ - ff_int0,
-                          acc_fp_ - ff_fp0, params_.ff)) {
+                          acc_fp_ - ff_fp0)) {
       if (ph->cand_needs_gate) {
         // Fresh in-instance window calibration: model-check it first.
         ff_gate_model(L, *ph);
@@ -844,13 +844,12 @@ void Thread::ff_gate_model(const LoopDesc& L, ff::LoopPhase& ph) {
       ff::predict_cpi(params_.dram, ph, L.ii, int(assumed_), int(stall_mult_),
                       c.hit_rate);
   c.model_residual = std::fabs(model - span_cpi) / std::max(1.0, span_cpi);
-  c.model_ok = c.model_residual <= params_.ff.model_gate;
+  c.model_ok = c.model_residual <= ff::kModelGate;
   if (!c.model_ok) ++ff_stats_.model_rejects;
 }
 
 void Thread::ff_try_jump(const LoopDesc& L, LoopState& ls,
                          ff::LoopPhase& ph) {
-  const FastForwardParams& p = params_.ff;
   const ff::Calibration& c = *ph.cand;  // validated by end_iteration
   const std::int64_t skip = c.span_iters;
   const cycle_t delta = c.span_cycles;
@@ -860,7 +859,7 @@ void Thread::ff_try_jump(const LoopDesc& L, LoopState& ls,
   // cannot take degrades the instance to an exact re-calibrating run.
   cycle_t limit = params_.max_cycles;
   if (mem_horizon_ != kNoCycle && mem_horizon_ < limit) limit = mem_horizon_;
-  if (delta < p.min_skip_cycles || b0 >= limit || delta > limit - b0) {
+  if (delta < ff::kMinSkipCycles || b0 >= limit || delta > limit - b0) {
     ph.jump_declined();
     return;
   }

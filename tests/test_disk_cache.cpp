@@ -23,7 +23,6 @@
 #include "hls/compiler.hpp"
 #include "hls/serialize.hpp"
 #include "ir/builder.hpp"
-#include "ir/printer.hpp"
 #include "runner/design_cache.hpp"
 #include "runner/disk_store.hpp"
 #include "runner/runner.hpp"
@@ -124,7 +123,8 @@ TEST(RunnerDiskCache, WarmStartServesEveryMissFromDisk) {
     EXPECT_FALSE(e.hit);
     EXPECT_TRUE(e.disk_hit);
     // The warm design is the real thing, not just non-null.
-    EXPECT_EQ(ir::print(e.design->kernel), ir::print(gemm_kernel(t)));
+    EXPECT_EQ(hls::encode_source(e.design->kernel, e.design->options),
+              hls::encode_source(gemm_kernel(t), {}));
   }
   EXPECT_EQ(warm.stats().misses, 3);
   EXPECT_EQ(warm.stats().disk_hits, 3);
@@ -390,7 +390,7 @@ TEST(RunnerCacheKey, IdenticalContentBuiltTwiceYieldsSameKey) {
 TEST(RunnerCacheKey, ReLoweredSourceYieldsSameKey) {
   // The key is content-addressed over the serialized kernel, so lowering
   // the same source twice — two fully independent front-end passes — must
-  // land on the same key, byte-identical dump included.
+  // land on the same key, byte-identical source encoding included.
   constexpr const char* kSrc = R"(
 void scale(float* x, int n) {
   #pragma omp target parallel map(tofrom: x[0:64]) num_threads(4)
@@ -406,8 +406,8 @@ void scale(float* x, int n) {
   lopts.constants["n"] = 64;
   const ir::Kernel k1 = frontend::compile_source(kSrc, lopts);
   const ir::Kernel k2 = frontend::compile_source(kSrc, lopts);
-  EXPECT_EQ(ir::print(k1), ir::print(k2));
   const hls::HlsOptions opts;
+  EXPECT_EQ(hls::encode_source(k1, opts), hls::encode_source(k2, opts));
   EXPECT_EQ(runner::DesignCache::key_of(k1, opts),
             runner::DesignCache::key_of(k2, opts));
 }
@@ -432,7 +432,7 @@ ir::Kernel scale_by(double factor) {
 }
 
 TEST(RunnerCacheKey, FloatConstantsDifferingInTheSeventhDigitDoNotAlias) {
-  // The IR printer shows both constants as 0.123457; the key must not.
+  // `%g` renders both constants as 0.123457; the key must not.
   const hls::HlsOptions opts;
   EXPECT_NE(runner::DesignCache::key_of(scale_by(0.1234567), opts),
             runner::DesignCache::key_of(scale_by(0.1234568), opts));

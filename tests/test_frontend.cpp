@@ -7,7 +7,6 @@
 #include "frontend/lower.hpp"
 #include "frontend/parser.hpp"
 #include "hls/compiler.hpp"
-#include "ir/printer.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/reference.hpp"
 

@@ -1,10 +1,9 @@
-// Tests for the kernel IR: types, builder DSL, operator sugar, structure,
-// and the printer.
+// Tests for the kernel IR: types, builder DSL, operator sugar and
+// structure.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "ir/builder.hpp"
-#include "ir/printer.hpp"
 
 namespace hlsprof::ir {
 namespace {
@@ -31,11 +30,6 @@ TEST(Type, WithLanesAndElement) {
 TEST(Type, LaneBoundsChecked) {
   EXPECT_THROW(Type::f32(0), Error);
   EXPECT_THROW(Type::f32(kMaxLanes + 1), Error);
-}
-
-TEST(Type, ToString) {
-  EXPECT_EQ(to_string(Type::f32()), "f32");
-  EXPECT_EQ(to_string(Type::i64(4)), "i64x4");
 }
 
 // ---- opcode metadata --------------------------------------------------------
@@ -350,39 +344,6 @@ TEST(Builder, CrossBuilderOperandsRejected) {
   Val x = a.c32(1);
   Val y = b.c32(2);
   EXPECT_THROW((void)(x + y), Error);
-}
-
-// ---- printer ---------------------------------------------------------------------
-
-TEST(Printer, ContainsStructure) {
-  KernelBuilder kb("pk", 2);
-  auto x = kb.ptr_arg("x", Type::f32(), MapDir::to, 16);
-  auto buf = kb.local_array("buf", Scalar::f32, 8);
-  (void)buf;
-  Val tid = kb.thread_id();
-  kb.for_loop("i", tid, kb.c32(16), kb.c32(2), [&](Val i) {
-    Val v = kb.load(x, i);
-    kb.critical(0, [&] { kb.store(x, i, v + kb.cf32(1)); });
-  });
-  const Kernel k = std::move(kb).finish();
-  const std::string p = print(k);
-  EXPECT_NE(p.find("kernel pk(num_threads=2)"), std::string::npos);
-  EXPECT_NE(p.find("arg @0 x: f32* map(to) [16]"), std::string::npos);
-  EXPECT_NE(p.find("local $0 buf: f32[8]"), std::string::npos);
-  EXPECT_NE(p.find("for i"), std::string::npos);
-  EXPECT_NE(p.find("critical(lock=0)"), std::string::npos);
-  EXPECT_NE(p.find("load_ext @0(x)"), std::string::npos);
-  EXPECT_NE(p.find("thread_id"), std::string::npos);
-}
-
-TEST(Printer, ShowsConcurrentAndBarrier) {
-  KernelBuilder kb("pk2", 2);
-  kb.concurrent({[&] { kb.c32(1); }, [&] { kb.c32(2); }}, true);
-  kb.barrier(1);
-  const Kernel k = std::move(kb).finish();
-  const std::string p = print(k);
-  EXPECT_NE(p.find("concurrent [independent]"), std::string::npos);
-  EXPECT_NE(p.find("barrier(1)"), std::string::npos);
 }
 
 // ---- misc ---------------------------------------------------------------------------

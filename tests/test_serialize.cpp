@@ -14,7 +14,6 @@
 #include "common/hash.hpp"
 #include "core/hlsprof.hpp"
 #include "hls/serialize.hpp"
-#include "ir/printer.hpp"
 #include "paraver/writer.hpp"
 #include "runner/design_cache.hpp"
 #include "workloads/gemm.hpp"
@@ -112,14 +111,14 @@ TEST(Bytes, EncodeSourceBytesArePinned) {
 TEST(Serialize, RoundTripPreservesKernelPrintAndCacheKey) {
   const hls::HlsOptions opts;
   for (auto& [name, kernel] : sample_kernels()) {
-    const std::string printed = ir::print(kernel);
+    const std::string source = hls::encode_source(kernel, opts);
     const std::uint64_t key = runner::DesignCache::key_of(kernel, opts);
 
     hls::Design design = hls::compile(std::move(kernel), opts);
     const std::string bytes = hls::serialize_design(design);
     const hls::Design back = hls::deserialize_design(bytes);
 
-    EXPECT_EQ(ir::print(back.kernel), printed) << name;
+    EXPECT_EQ(hls::encode_source(back.kernel, back.options), source) << name;
     EXPECT_EQ(runner::DesignCache::key_of(back.kernel, back.options), key)
         << name;
     // Canonical encoding: re-serializing the decoded design is

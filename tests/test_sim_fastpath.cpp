@@ -25,6 +25,7 @@ struct ModeRun {
   sim::SimResult sim;
   paraver::ParaverFiles files;
   sim::Simulator::FastPathStats fast;
+  sim::Simulator::FastForwardStats ff;
   std::vector<std::vector<float>> outputs;
 };
 
@@ -42,6 +43,7 @@ ModeRun run_mode(const std::shared_ptr<const hls::Design>& design,
   m.sim = r.sim;
   m.files = paraver::to_paraver(r.timeline, design->kernel.name);
   m.fast = s.sim().fast_path_stats();
+  m.ff = s.sim().fast_forward_stats();
   m.outputs = bufs.outputs();
   return m;
 }
@@ -175,6 +177,28 @@ TEST(SimFastPath, MultiThreadStillBatchesAndDispatches) {
   s.run();
   const auto st = s.fast_path_stats();
   EXPECT_GT(st.direct_dispatch, 0u);
+}
+
+TEST(SimFastPath, ReferenceLoopIgnoresFastForward) {
+  // A single-thread GEMM is a steady memory-bound stream that the approx
+  // tier jumps over on the fast path; the reference loop runs it exactly.
+  const SimCase c = gemm_case(1, 32, 1);
+  auto design = core::compile_shared(c.kernel());
+  sim::SimParams approx = c.params;
+  approx.fast_forward = true;
+  ASSERT_GT(run_mode(design, c.bind, approx, false).ff.phases, 0u);
+
+  const ModeRun ref = run_mode(design, c.bind, approx, true);
+  const ModeRun exact = run_mode(design, c.bind, c.params, true);
+  expect_same_result(ref.sim, exact.sim);
+  EXPECT_EQ(ref.outputs, exact.outputs);
+  EXPECT_EQ(ref.files.prv, exact.files.prv);
+  EXPECT_EQ(ref.fast.direct_dispatch, 0u);
+  EXPECT_EQ(ref.fast.batched_mem, 0u);
+  EXPECT_EQ(ref.ff.phases, 0u);
+  EXPECT_EQ(ref.ff.cycles_skipped, 0u);
+  EXPECT_EQ(ref.ff.model_rejects, 0u);
+  EXPECT_EQ(ref.ff.model_residual, 0.0);
 }
 
 // ---- Randomized designs -----------------------------------------------------

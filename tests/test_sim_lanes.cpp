@@ -199,6 +199,16 @@ std::string hex_words(const void* data, int words) {
   return s;
 }
 
+const char* scalar_name(Scalar s) {
+  switch (s) {
+    case Scalar::i32: return "i32";
+    case Scalar::i64: return "i64";
+    case Scalar::f32: return "f32";
+    case Scalar::f64: return "f64";
+  }
+  return "?";
+}
+
 void run_lanes(Scalar s, int lanes, bool functional,
                std::vector<std::string>& got) {
   LaneKernel lk(s, lanes);
@@ -247,7 +257,7 @@ void run_lanes(Scalar s, int lanes, bool functional,
   ASSERT_EQ(res.threads.size(), 1u);
 
   const std::string tag =
-      strf("%sx%d %s", ir::to_string(s).c_str(), lanes,
+      strf("%sx%d %s", scalar_name(s), lanes,
            functional ? "functional" : "timing");
   const sim::ThreadStats& t = res.threads[0];
   std::string head = strf("%s cycles=%llu int=%lld fp=%lld", tag.c_str(),
