@@ -50,11 +50,19 @@ double gflops(long long fp_ops, cycle_t cycles, double fmax_mhz) {
 }
 
 StateSummary summarize_states(const TimedTrace& t) {
+  // One pass over the intervals; each fraction is the one
+  // TimedTrace::state_fraction(s) computes.
+  const std::array<cycle_t, 4> cycles = t.state_cycles();
+  const auto fraction = [&](sim::ThreadState s) {
+    if (t.duration == 0 || t.num_threads == 0) return 0.0;
+    return double(cycles[std::size_t(s)]) /
+           (double(t.duration) * double(t.num_threads));
+  };
   StateSummary s;
-  s.idle = t.state_fraction(sim::ThreadState::idle);
-  s.running = t.state_fraction(sim::ThreadState::running);
-  s.critical = t.state_fraction(sim::ThreadState::critical);
-  s.spinning = t.state_fraction(sim::ThreadState::spinning);
+  s.idle = fraction(sim::ThreadState::idle);
+  s.running = fraction(sim::ThreadState::running);
+  s.critical = fraction(sim::ThreadState::critical);
+  s.spinning = fraction(sim::ThreadState::spinning);
   return s;
 }
 

@@ -47,7 +47,6 @@ ProfilingUnit::ProfilingUnit(const hls::Design& design,
   HLSPROF_CHECK(ring_bytes_ >= trace::kLineBytes,
                 "trace region must hold at least one 512-bit line");
   trace_base_ = mem_.allocate("profiling-trace", cfg_.trace_region_bytes);
-  state_now_.assign(std::size_t(T_), 0 /*idle*/);
   stride_ = std::size_t(kMetrics * T_);
   lag_ = std::max(kFinalizeLag, cfg_.sampling_period);
   close_at_ = cfg_.sampling_period + lag_;
@@ -127,6 +126,8 @@ void ProfilingUnit::cache_window() {
   window_.lo = cycle_t(w) * cfg_.sampling_period;
   window_.end = std::min(window_.lo + cfg_.sampling_period, close_at_);
   window_.stall = acc;
+  window_.int_ops = cfg_.enable_compute_events ? acc + T_ : nullptr;
+  window_.fp_ops = cfg_.enable_compute_events ? acc + 2 * T_ : nullptr;
   window_.read = acc + 3 * T_;
   window_.written = acc + 4 * T_;
 }
@@ -136,8 +137,11 @@ void ProfilingUnit::on_state(thread_id_t tid, sim::ThreadState state,
   if (!cfg_.enable_states) return;
   HLSPROF_CHECK(tid < thread_id_t(T_), "state for unknown thread");
   note_time(t);
-  const auto code = std::uint8_t(state);
-  if (state_now_[tid] == code && last_state_record_t_ != kNoCycle) return;
+  const auto code = unsigned(state);
+  if (trace::state_code(state_now_, int(tid)) == code &&
+      last_state_record_t_ != kNoCycle) {
+    return;
+  }
   // Coalesce multiple changes in the same cycle into one record: defer
   // emission until the clock advances (paper §IV-B1: "because the state
   // can change for multiple threads at once ... we record the current
@@ -145,7 +149,7 @@ void ProfilingUnit::on_state(thread_id_t tid, sim::ThreadState state,
   if (last_state_record_t_ != kNoCycle && last_state_record_t_ != t) {
     append_state_record(last_state_record_t_);
   }
-  state_now_[tid] = code;
+  state_now_ = trace::with_state(state_now_, int(tid), code);
   last_state_record_t_ = t;
   state_dirty_ = true;
 }
@@ -171,6 +175,12 @@ void ProfilingUnit::on_compute(thread_id_t tid, long long int_ops,
   if (int_ops > 0) deposit_range(1, tid, t0, t1, double(int_ops));
   if (fp_ops > 0) deposit_range(2, tid, t0, t1, double(fp_ops));
   raise_high_water(t1);
+  // Re-cache as on_request does, unless the mark reached the next close
+  // (only a point event may close windows).
+  if (cfg_.enable_memory_events && cfg_.enable_stall_events &&
+      window_.high_water < close_at_) {
+    cache_window();
+  }
 }
 
 void ProfilingUnit::on_request(thread_id_t tid, cycle_t accepted,
@@ -261,7 +271,8 @@ void ProfilingUnit::maybe_flush(cycle_t t, bool force) {
           std::size_t(cfg_.buffer_lines)) {
     return;
   }
-  const std::vector<std::uint8_t> lines = encoder_.take_lines();
+  std::vector<std::uint8_t>& lines = burst_;
+  encoder_.take_lines(lines);
   if (lines.empty()) return;
   // Without a streaming consumer the whole trace must stay resident for
   // the post-run decode, so the region bounds the trace. With a sink the

@@ -27,8 +27,6 @@ class ProfilingUnit final : public sim::SimHooks {
 
   // ---- SimHooks ---------------------------------------------------------
   void on_state(thread_id_t tid, sim::ThreadState state, cycle_t t) override;
-  void on_compute(thread_id_t tid, long long int_ops, long long fp_ops,
-                  cycle_t t0, cycle_t t1) override;
   // Aggregate spans synthesized by the fast-forward tier (approx mode):
   // spread uniformly over [t0, t1) so sampled bandwidth/stall windows show
   // the same plateau the executed requests would have produced.
@@ -74,11 +72,14 @@ class ProfilingUnit final : public sim::SimHooks {
   const ProfilingConfig& config() const { return cfg_; }
 
  private:
+  void on_compute(thread_id_t tid, long long int_ops, long long fp_ops,
+                  cycle_t t0, cycle_t t1) override;
   void on_request(thread_id_t tid, cycle_t accepted, std::uint32_t bytes,
                   bool is_write, cycle_t expected, cycle_t stall) override;
-  /// Cache the window of the high-water mark for sample_request's inline
-  /// path, and drop the cache (uncache) whenever windows close, the ring
-  /// moves, or the mark reaches close_at_.
+  /// Cache the window of the high-water mark for the inline paths of
+  /// sample_request and sample_compute, and drop the cache (uncache)
+  /// whenever windows close, the ring moves, or the mark reaches
+  /// close_at_.
   void cache_window();
   void uncache() { window_.end = window_.lo; }
   void raise_high_water(cycle_t t);
@@ -113,9 +114,11 @@ class ProfilingUnit final : public sim::SimHooks {
   std::size_t buffered_lines_ = 0;
   trace::FlushSink* sink_ = nullptr;
   std::size_t peak_burst_bytes_ = 0;
+  /// The last flush burst; its capacity takes the next one.
+  std::vector<std::uint8_t> burst_;
 
   // State tracker.
-  std::vector<std::uint8_t> state_now_;  // 2-bit codes
+  trace::StateWord state_now_ = 0;  // every thread's code, packed
   bool state_dirty_ = false;
   cycle_t last_state_record_t_ = kNoCycle;
 

@@ -50,10 +50,7 @@ void fill_metrics(JobResult& out, const core::Session& session,
     const auto oh = session.overhead();
     out.overhead_alm_pct = oh.alm_pct;
     out.overhead_register_pct = oh.register_pct;
-    for (int st = 0; st < 4; ++st) {
-      out.state_cycles[std::size_t(st)] =
-          r.timeline.state_cycles(sim::ThreadState(st));
-    }
+    out.state_cycles = r.timeline.state_cycles();
     out.trace_dram_bytes =
         r.timeline.event_total(trace::EventKind::bytes_read) +
         r.timeline.event_total(trace::EventKind::bytes_written);

@@ -23,17 +23,20 @@ enum class ThreadState : std::uint8_t {
   spinning = 3,
 };
 
-/// The open sampling window a memory request can count into without a
-/// call: cycles [lo, end) and the window's per-thread accumulators. The
-/// hooks' implementation keeps it current and caches a window only while
-/// no sample in [lo, end) can close one, so `end` is at most the
-/// high-water mark that closes the next window. lo == end caches none.
+/// The open sampling window a memory request or a compute span can count
+/// into without a call: cycles [lo, end) and the window's per-thread
+/// accumulators. The hooks' implementation keeps it current and caches a
+/// window only while no sample in [lo, end) can close one, so `end` is
+/// at most the high-water mark that closes the next window. lo == end
+/// caches none.
 struct SampleWindow {
   cycle_t lo = 0;
   cycle_t end = 0;
   /// Latest timestamp sampled so far.
   cycle_t high_water = 0;
   double* stall = nullptr;    // indexed by thread id
+  double* int_ops = nullptr;  // null while compute events are off
+  double* fp_ops = nullptr;   // null while compute events are off
   double* read = nullptr;     // bytes read
   double* written = nullptr;  // bytes written
 };
@@ -53,9 +56,28 @@ class SimHooks {
   /// `int_ops`/`fp_ops` lane-operations executed by `tid` spread over
   /// [t0, t1). Batched (typically one call per loop execution or between
   /// memory operations) — the profiling unit's sampled counters only need
-  /// window aggregates.
-  virtual void on_compute(thread_id_t tid, long long int_ops,
-                          long long fp_ops, cycle_t t0, cycle_t t1) = 0;
+  /// window aggregates. Counts inline into the cached window when the
+  /// span lies strictly inside it (so the mark stays below the next
+  /// window close); any other span goes to on_compute. The inline sum is
+  /// the expression on_compute's one-window case computes, so both paths
+  /// give the same bits.
+  void sample_compute(thread_id_t tid, long long int_ops, long long fp_ops,
+                      cycle_t t0, cycle_t t1) {
+    SampleWindow& w = window_;
+    if (w.int_ops != nullptr && t0 >= w.lo && t0 < t1 && t1 < w.end)
+        [[likely]] {
+      const double span = double(t1 - t0);
+      if (int_ops > 0) {
+        w.int_ops[tid] += double(int_ops) * double(t1 - t0) / span;
+      }
+      if (fp_ops > 0) {
+        w.fp_ops[tid] += double(fp_ops) * double(t1 - t0) / span;
+      }
+      w.high_water = std::max(w.high_water, t1);
+      return;
+    }
+    on_compute(tid, int_ops, fp_ops, t0, t1);
+  }
 
   /// Aggregate traffic synthesized by the fast-forward tier: the bytes
   /// `tid` would have moved across the skipped span [t0, t1), spread
@@ -100,6 +122,10 @@ class SimHooks {
   }
 
  protected:
+  /// sample_compute's slow path, with the same arguments.
+  virtual void on_compute(thread_id_t tid, long long int_ops,
+                          long long fp_ops, cycle_t t0, cycle_t t1) = 0;
+
   /// sample_request's slow path, with the same arguments.
   virtual void on_request(thread_id_t tid, cycle_t accepted,
                           std::uint32_t bytes, bool is_write,

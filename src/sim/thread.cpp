@@ -889,7 +889,7 @@ void Thread::ff_try_jump(const LoopDesc& L, LoopState& ls,
   flush_compute(b0);
   if (hooks_ != nullptr) {
     if (skip_int > 0 || skip_fp > 0) {
-      hooks_->on_compute(tid_, skip_int, skip_fp, b0, t1);
+      hooks_->sample_compute(tid_, skip_int, skip_fp, b0, t1);
     }
     hooks_->on_mem_span(tid_, b0, t1, ph.bytes_read_per_iter * skip,
                         ph.bytes_written_per_iter * skip);
@@ -927,13 +927,8 @@ void Thread::ff_project_rows(const ff::LoopPhase& ph, std::int64_t skip) {
   const std::int64_t nb = std::max(1, params_.dram.num_banks);
   const std::int64_t k_end = ph.iter_index - 1;
   const std::int64_t k_start = ph.iter_index - skip;
-  struct Open {
-    std::int64_t k;   // last-touch iteration index
-    std::size_t op;   // body order breaks ties (the later op wins)
-    std::int64_t row;
-  };
-  std::vector<Open> opens;
-  opens.reserve(ph.ops.size() * std::size_t(nb));
+  std::vector<RowOpen>& opens = ff_opens_;
+  opens.clear();
   for (std::size_t oi = 0; oi < ph.ops.size(); ++oi) {
     const ff::OpTrack& ot = ph.ops[oi];
     const std::int64_t start = std::int64_t(ot.inst_start);
@@ -957,10 +952,11 @@ void Thread::ff_project_rows(const ff::LoopPhase& ph, std::int64_t skip) {
       r -= dir;
     }
   }
-  std::sort(opens.begin(), opens.end(), [](const Open& a, const Open& b) {
-    return a.k != b.k ? a.k < b.k : a.op < b.op;
-  });
-  for (const Open& o : opens) {
+  std::sort(opens.begin(), opens.end(),
+            [](const RowOpen& a, const RowOpen& b) {
+              return a.k != b.k ? a.k < b.k : a.op < b.op;
+            });
+  for (const RowOpen& o : opens) {
     mem_.ff_touch_row(addr_t(o.row) * params_.dram.row_bytes);
   }
 }
@@ -1053,7 +1049,7 @@ void Thread::flush_compute(cycle_t now) {
   const cycle_t t0 = last_flush_;
   const cycle_t t1 = std::max(now, last_flush_ + 1);
   if (hooks_ != nullptr) {
-    hooks_->on_compute(tid_, acc_int_, acc_fp_, t0, t1);
+    hooks_->sample_compute(tid_, acc_int_, acc_fp_, t0, t1);
   }
   total_int_ops_ += acc_int_;
   total_fp_ops_ += acc_fp_;

@@ -119,6 +119,12 @@ class Thread {
     cycle_t t0 = 0;
     cycle_t max_end = 0;
   };
+  /// A DRAM row a skipped span leaves open (ff_project_rows).
+  struct RowOpen {
+    std::int64_t k;   // last-touch iteration index
+    std::size_t op;   // body order breaks ties (the later op wins)
+    std::int64_t row;
+  };
   /// A loop's fast-forward phase, set up on the loop's first batched run.
   struct FfLoop {
     bool ready = false;
@@ -183,6 +189,7 @@ class Thread {
   std::vector<ConState> cons_;
   std::vector<std::vector<double>> locals_;
   std::vector<FfLoop> ff_;  // approx mode only; empty otherwise
+  std::vector<RowOpen> ff_opens_;  // ff_project_rows' scratch, reused
   ff::FfStats ff_stats_;
   bool ff_on_ = false;
 

@@ -1,22 +1,14 @@
 #include "trace/records.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.hpp"
 
 namespace hlsprof::trace {
 
-std::size_t state_record_bytes(int num_threads) {
-  return 1 /*tag*/ + 4 /*clock*/ +
-         std::size_t((2 * num_threads + 7) / 8) /*2 bits per thread*/;
-}
-
-std::size_t event_record_bytes() {
-  return 1 /*tag*/ + 1 /*kind*/ + 1 /*thread*/ + 4 /*clock*/ + 8 /*value*/;
-}
-
-LineEncoder::LineEncoder(int num_threads) : num_threads_(num_threads) {
+LineEncoder::LineEncoder(int num_threads)
+    : num_threads_(num_threads),
+      state_bytes_(state_record_bytes(num_threads) - 5) {
   HLSPROF_CHECK(num_threads >= 1 && num_threads <= 64,
                 "LineEncoder thread count out of range");
   HLSPROF_CHECK(state_record_bytes(num_threads) <= kLineBytes - 1,
@@ -57,26 +49,16 @@ int LineEncoder::ensure_fits(std::size_t record_bytes) {
   return completed;
 }
 
-int LineEncoder::append_state(std::uint32_t clock32,
-                              const std::vector<std::uint8_t>& states2bit) {
-  HLSPROF_CHECK(static_cast<int>(states2bit.size()) == num_threads_,
-                "state vector size mismatch");
-  const int completed = ensure_fits(state_record_bytes(num_threads_));
+int LineEncoder::append_state(std::uint32_t clock32, StateWord states) {
+  HLSPROF_CHECK((states & ~state_mask(num_threads_)) == 0,
+                "state word has a code above the thread count");
+  const int completed = ensure_fits(5 + state_bytes_);
   put_u8(kTagState);
   put_u32(clock32);
-  std::uint8_t packed = 0;
-  int bits = 0;
-  for (int t = 0; t < num_threads_; ++t) {
-    HLSPROF_CHECK(states2bit[std::size_t(t)] < 4, "state code out of range");
-    packed |= std::uint8_t(states2bit[std::size_t(t)] << bits);
-    bits += 2;
-    if (bits == 8) {
-      put_u8(packed);
-      packed = 0;
-      bits = 0;
-    }
+  for (std::size_t i = 0; i < state_bytes_; ++i) {
+    line_[fill_ + i] = std::uint8_t(states >> (8 * i));
   }
-  if (bits != 0) put_u8(packed);
+  fill_ += state_bytes_;
   bump_count();
   return completed;
 }
@@ -92,9 +74,10 @@ int LineEncoder::append_event(const EventRecord& r) {
   return completed;
 }
 
-std::vector<std::uint8_t> LineEncoder::take_lines() {
+void LineEncoder::take_lines(std::vector<std::uint8_t>& burst) {
   if (fill_ != 0) close_line();
-  return std::exchange(full_bytes_, {});
+  burst.clear();
+  burst.swap(full_bytes_);
 }
 
 cycle_t ClockUnwrapper::feed(std::uint32_t c32) {

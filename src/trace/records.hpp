@@ -37,9 +37,31 @@ enum class EventKind : std::uint8_t {
   bytes_written = 5,
 };
 
+/// Every thread's 2-bit state code in one word: thread t at bits
+/// 2t..2t+1, so 64 threads fit in 128 bits. This is the bit order of a
+/// state record's state bytes read as one little-endian number.
+using StateWord = unsigned __int128;
+
+/// Thread `t`'s 2-bit code in `w`.
+inline unsigned state_code(StateWord w, int t) {
+  return unsigned(w >> (2 * t)) & 3u;
+}
+
+/// `w` with thread `t`'s code replaced by `code` (0..3).
+inline StateWord with_state(StateWord w, int t, unsigned code) {
+  const int shift = 2 * t;
+  return (w & ~(StateWord(3) << shift)) | (StateWord(code & 3u) << shift);
+}
+
+/// The 2 * num_threads low bits that carry codes (num_threads 1..64).
+inline StateWord state_mask(int num_threads) {
+  return num_threads >= 64 ? ~StateWord(0)
+                           : (StateWord(1) << (2 * num_threads)) - 1;
+}
+
 struct StateRecord {
-  std::uint32_t clock32 = 0;           // wrapping 32-bit cycle counter
-  std::vector<std::uint8_t> states;    // one 2-bit code per thread, unpacked
+  std::uint32_t clock32 = 0;  // wrapping 32-bit cycle counter
+  StateWord states = 0;       // every thread's code, packed
 };
 
 struct EventRecord {
@@ -51,10 +73,15 @@ struct EventRecord {
 
 /// Size in bytes of one state record for `num_threads` threads
 /// (tag + 32-bit clock + ceil(2*T/8) state bytes).
-std::size_t state_record_bytes(int num_threads);
+constexpr std::size_t state_record_bytes(int num_threads) {
+  return 1 /*tag*/ + 4 /*clock*/ +
+         std::size_t((2 * num_threads + 7) / 8) /*2 bits per thread*/;
+}
 
 /// Size in bytes of one event record.
-std::size_t event_record_bytes();
+constexpr std::size_t event_record_bytes() {
+  return 1 /*tag*/ + 1 /*kind*/ + 1 /*thread*/ + 4 /*clock*/ + 8 /*value*/;
+}
 
 /// Packs records into 512-bit lines, exactly as the hardware buffer does.
 class LineEncoder {
@@ -63,13 +90,16 @@ class LineEncoder {
 
   /// Append a record. Returns the number of lines completed by this append
   /// (0 or 1) — the profiling unit uses this to track buffer fill.
-  int append_state(std::uint32_t clock32,
-                   const std::vector<std::uint8_t>& states2bit);
+  /// Throws Error if `states` has a bit set above the 2 * num_threads
+  /// code bits.
+  int append_state(std::uint32_t clock32, StateWord states);
   int append_event(const EventRecord& r);
 
-  /// Close the current line (pad with zeros) and return all completed
-  /// lines since the last take(). Each line is exactly kLineBytes.
-  std::vector<std::uint8_t> take_lines();
+  /// Close the current line (pad with zeros) and swap all lines completed
+  /// since the last take into `burst`, each exactly kLineBytes. What
+  /// `burst` held is dropped; its capacity takes the next lines, so a
+  /// caller that keeps one buffer stops allocating.
+  void take_lines(std::vector<std::uint8_t>& burst);
 
   /// Completed, untaken lines currently held.
   std::size_t pending_lines() const { return full_bytes_.size() / kLineBytes; }
@@ -84,6 +114,7 @@ class LineEncoder {
   void bump_count();
 
   int num_threads_;
+  std::size_t state_bytes_;  // ceil(2 * num_threads / 8)
   std::array<std::uint8_t, kLineBytes> line_{};  // open line, line_[0]=count
   std::size_t fill_ = 0;                 // bytes used in line_; 0: none open
   std::vector<std::uint8_t> full_bytes_;  // completed lines

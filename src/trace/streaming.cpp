@@ -30,36 +30,37 @@ struct DecoderMetrics {
   }
 };
 
-/// Bounds-checked byte reader over one line; errors carry the line's
-/// absolute offset in the stream.
+/// Bounds-checked reader over one line: each take() checks a whole
+/// record field group at once; errors carry the line's absolute offset
+/// in the stream.
 class Cursor {
  public:
-  Cursor(const std::uint8_t* p, std::size_t n, std::size_t line_offset)
-      : p_(p), n_(n), line_offset_(line_offset) {}
-  std::uint8_t u8() {
-    if (i_ + 1 > n_) {
+  Cursor(const std::uint8_t* p, std::size_t line_offset)
+      : p_(p), line_offset_(line_offset) {}
+  /// The next `n` bytes of the line.
+  const std::uint8_t* take(std::size_t n) {
+    if (n > kLineBytes - i_) {
       fail(strf("trace record overruns its line at offset %zu",
                 line_offset_));
     }
-    return p_[i_++];
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int k = 0; k < 4; ++k) v |= std::uint32_t(u8()) << (8 * k);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int k = 0; k < 8; ++k) v |= std::uint64_t(u8()) << (8 * k);
-    return v;
+    const std::uint8_t* at = p_ + i_;
+    i_ += n;
+    return at;
   }
 
  private:
   const std::uint8_t* p_;
-  std::size_t n_;
   std::size_t line_offset_;
   std::size_t i_ = 0;
 };
+
+/// Little-endian value of the `n` bytes at `p`.
+template <class T>
+T load_le(const std::uint8_t* p, std::size_t n) {
+  T v = 0;
+  for (std::size_t k = 0; k < n; ++k) v |= T(p[k]) << (8 * k);
+  return v;
+}
 
 }  // namespace
 
@@ -72,48 +73,45 @@ int max_records_per_line(int num_threads) {
 StreamingDecoder::StreamingDecoder(int num_threads, RecordSink& sink)
     : num_threads_(num_threads),
       max_records_(max_records_per_line(num_threads)),
+      state_bytes_(state_record_bytes(num_threads) - 5),
       sink_(sink) {
   HLSPROF_CHECK(num_threads >= 1 && num_threads <= 64,
                 "StreamingDecoder thread count out of range");
-  state_.states.resize(std::size_t(num_threads));
+  state_mask_ = state_mask(num_threads);
 }
 
 int StreamingDecoder::decode_line(const std::uint8_t* line,
                                   std::size_t line_offset) {
-  Cursor c(line, kLineBytes, line_offset);
-  const int count = c.u8();
+  Cursor c(line, line_offset);
+  const int count = *c.take(1);
   if (count > max_records_) {
     fail(strf("implausible record count %d (max %d for %d threads) in trace "
               "line at offset %zu",
               count, max_records_, num_threads_, line_offset));
   }
   for (int r = 0; r < count; ++r) {
-    const std::uint8_t tag = c.u8();
+    const std::uint8_t tag = *c.take(1);
     if (tag == kTagState) {
-      StateRecord& sr = state_;
-      sr.clock32 = c.u32();
-      std::uint8_t packed = 0;
-      int bits = 8;  // force initial fetch
-      for (int t = 0; t < num_threads_; ++t) {
-        if (bits == 8) {
-          packed = c.u8();
-          bits = 0;
-        }
-        sr.states[std::size_t(t)] = std::uint8_t((packed >> bits) & 0x3);
-        bits += 2;
-      }
+      // Clock and state bytes; the padding bits of the last state byte
+      // are not codes and are ignored.
+      const std::uint8_t* p = c.take(4 + state_bytes_);
+      StateRecord sr;
+      sr.clock32 = load_le<std::uint32_t>(p, 4);
+      sr.states = load_le<StateWord>(p + 4, state_bytes_) & state_mask_;
       sink_.on_state(sr, unwrap_.feed(sr.clock32));
     } else if (tag == kTagEvent) {
-      EventRecord er;
-      const std::uint8_t kind = c.u8();
+      // Kind, thread, clock and value.
+      const std::uint8_t* p = c.take(event_record_bytes() - 1);
+      const std::uint8_t kind = p[0];
       if (kind < 1 || kind > 5) {
         fail(strf("unknown event kind %u in trace line at offset %zu",
                   unsigned(kind), line_offset));
       }
+      EventRecord er;
       er.kind = EventKind(kind);
-      er.thread = c.u8();
-      er.clock32 = c.u32();
-      er.value = c.u64();
+      er.thread = p[1];
+      er.clock32 = load_le<std::uint32_t>(p + 2, 4);
+      er.value = load_le<std::uint64_t>(p + 6, 8);
       sink_.on_event(er, unwrap_.feed(er.clock32));
     } else {
       fail(strf("bad record tag 0x%02X in trace line at offset %zu", tag,

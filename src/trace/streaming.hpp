@@ -85,11 +85,10 @@ class StreamingDecoder final : public FlushSink {
 
   int num_threads_;
   int max_records_;
+  std::size_t state_bytes_;  // ceil(2 * num_threads / 8)
+  StateWord state_mask_;     // the code bits of a state word
   RecordSink& sink_;
   ClockUnwrapper unwrap_;
-  /// Reused for every state record: sinks get a reference that is valid
-  /// for the call only, so decoding allocates nothing per record.
-  StateRecord state_;
   std::array<std::uint8_t, kLineBytes> carry_{};
   std::size_t carry_n_ = 0;
   std::size_t consumed_ = 0;

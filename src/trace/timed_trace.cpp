@@ -1,6 +1,7 @@
 #include "trace/timed_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -22,10 +23,14 @@ double TimedTrace::state_fraction(sim::ThreadState s) const {
 }
 
 cycle_t TimedTrace::state_cycles(sim::ThreadState s) const {
-  cycle_t total = 0;
+  return state_cycles()[std::size_t(s) & 3];
+}
+
+std::array<cycle_t, 4> TimedTrace::state_cycles() const {
+  std::array<cycle_t, 4> total{};
   for (const auto& tv : thread_states) {
     for (const StateInterval& iv : tv) {
-      if (iv.state == s) total += iv.end - iv.begin;
+      total[std::size_t(iv.state) & 3] += iv.end - iv.begin;
     }
   }
   return total;
@@ -41,42 +46,45 @@ std::uint64_t TimedTrace::event_total(EventKind kind) const {
 
 TimedTraceBuilder::TimedTraceBuilder(int num_threads, cycle_t sampling_period)
     : num_threads_(num_threads),
-      sampling_period_(sampling_period),
-      cur_(std::size_t(num_threads), 0 /*idle*/),
-      since_(std::size_t(num_threads), 0) {
-  HLSPROF_CHECK(num_threads >= 1, "TimedTraceBuilder needs >= 1 thread");
+      sampling_period_(sampling_period) {
+  HLSPROF_CHECK(num_threads >= 1 && num_threads <= 64,
+                "TimedTraceBuilder needs 1..64 threads");
+  since_.assign(std::size_t(num_threads), 0);
   out_.num_threads = num_threads;
   out_.thread_states.resize(std::size_t(num_threads));
 }
 
 void TimedTraceBuilder::on_state(const StateRecord& r, cycle_t t) {
   HLSPROF_CHECK(!finished_, "TimedTraceBuilder::on_state after finish");
-  HLSPROF_CHECK(static_cast<int>(r.states.size()) == num_threads_,
-                "state record thread count mismatch");
+  HLSPROF_CHECK((r.states & ~state_mask(num_threads_)) == 0,
+                "state record has a code above the thread count");
   ++states_seen_;
   last_clock_ = std::max(last_clock_, t);
-  // State records carry the full state vector; build intervals per thread
+  // State records carry the full state word; build intervals per thread
   // by splitting at records where that thread's code changes.
   if (!have_any_) {
     have_any_ = true;
     first_clock_ = t;
-    for (int k = 0; k < num_threads_; ++k) {
-      cur_[std::size_t(k)] = r.states[std::size_t(k)];
-      since_[std::size_t(k)] = t;
-    }
+    cur_ = r.states;
+    std::fill(since_.begin(), since_.end(), t);
     return;
   }
-  for (int k = 0; k < num_threads_; ++k) {
-    if (r.states[std::size_t(k)] != cur_[std::size_t(k)]) {
-      if (t > since_[std::size_t(k)]) {
-        out_.thread_states[std::size_t(k)].push_back(StateInterval{
-            sim::ThreadState(cur_[std::size_t(k)]), since_[std::size_t(k)],
-            t});
+  // Visit only the threads whose code changed: the set bits of the XOR,
+  // one 64-bit half (32 threads) at a time.
+  const StateWord diff = r.states ^ cur_;
+  for (int half = 0; half < 2; ++half) {
+    for (auto bits = std::uint64_t(diff >> (64 * half)); bits != 0;) {
+      const int k2 = std::countr_zero(bits) & ~1;  // thread's low code bit
+      bits &= ~(std::uint64_t(3) << k2);
+      const auto k = std::size_t(32 * half + k2 / 2);
+      if (t > since_[k]) {
+        out_.thread_states[k].push_back(StateInterval{
+            sim::ThreadState(state_code(cur_, int(k))), since_[k], t});
       }
-      cur_[std::size_t(k)] = r.states[std::size_t(k)];
-      since_[std::size_t(k)] = t;
+      since_[k] = t;
     }
   }
+  cur_ = r.states;
 }
 
 void TimedTraceBuilder::on_event(const EventRecord& r, cycle_t t) {
@@ -94,7 +102,7 @@ TimedTrace TimedTraceBuilder::finish(cycle_t run_end) {
     for (int k = 0; k < num_threads_; ++k) {
       if (end > since_[std::size_t(k)]) {
         out_.thread_states[std::size_t(k)].push_back(StateInterval{
-            sim::ThreadState(cur_[std::size_t(k)]), since_[std::size_t(k)],
+            sim::ThreadState(state_code(cur_, k)), since_[std::size_t(k)],
             end});
       }
     }

@@ -4,6 +4,7 @@
 // consume.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/types.hpp"
@@ -55,6 +56,8 @@ struct TimedTrace {
   double state_fraction(sim::ThreadState s) const;
   /// Total cycles all threads spent in `s`.
   cycle_t state_cycles(sim::ThreadState s) const;
+  /// The same for all four states in one pass, indexed by ThreadState.
+  std::array<cycle_t, 4> state_cycles() const;
 
   /// Sum of event values of `kind` across threads and windows.
   std::uint64_t event_total(EventKind kind) const;
@@ -92,7 +95,7 @@ class TimedTraceBuilder final : public RecordSink {
   bool started() const { return have_any_; }
   /// Thread `tid`'s open state and the cycle it began at.
   sim::ThreadState open_state(thread_id_t tid) const {
-    return sim::ThreadState(cur_[tid]);
+    return sim::ThreadState(state_code(cur_, int(tid)));
   }
   cycle_t open_since(thread_id_t tid) const { return since_[tid]; }
   /// Largest record clock seen so far (0 before any record).
@@ -102,8 +105,8 @@ class TimedTraceBuilder final : public RecordSink {
   int num_threads_;
   cycle_t sampling_period_;
   TimedTrace out_;
-  std::vector<std::uint8_t> cur_;    // current 2-bit code per thread
-  std::vector<cycle_t> since_;       // open-interval start per thread
+  StateWord cur_ = 0;           // every thread's current code, packed
+  std::vector<cycle_t> since_;  // open-interval start per thread
   bool have_any_ = false;
   cycle_t first_clock_ = 0;
   cycle_t last_clock_ = 0;

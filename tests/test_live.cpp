@@ -17,6 +17,7 @@
 #include "live/timeline.hpp"
 #include "paraver/writer.hpp"
 #include "runner/runner.hpp"
+#include "state_words.hpp"
 #include "trace/timed_trace.hpp"
 #include "workloads/reference.hpp"
 #include "workloads/simple.hpp"
@@ -24,9 +25,9 @@
 namespace hlsprof {
 namespace {
 
-trace::StateRecord states(std::vector<std::uint8_t> codes) {
+trace::StateRecord states(const std::vector<std::uint8_t>& codes) {
   trace::StateRecord r;
-  r.states = std::move(codes);
+  r.states = pack_states(codes);
   return r;
 }
 

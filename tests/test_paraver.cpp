@@ -273,6 +273,17 @@ TEST(Analysis, SummarizeStates) {
   EXPECT_NEAR(s.running + s.idle + s.critical + s.spinning, 1.0, 1e-9);
   EXPECT_NEAR(s.critical, 0.05, 1e-9);   // 10 of 200 thread-cycles
   EXPECT_NEAR(s.spinning, 0.125, 1e-9);  // 25 of 200
+  // The one-pass sums give each state's fraction bit for bit.
+  const TimedTrace t = sample_trace();
+  EXPECT_EQ(s.idle, t.state_fraction(sim::ThreadState::idle));
+  EXPECT_EQ(s.running, t.state_fraction(sim::ThreadState::running));
+  EXPECT_EQ(s.critical, t.state_fraction(sim::ThreadState::critical));
+  EXPECT_EQ(s.spinning, t.state_fraction(sim::ThreadState::spinning));
+  const std::array<cycle_t, 4> cycles = t.state_cycles();
+  for (int st = 0; st < 4; ++st) {
+    EXPECT_EQ(cycles[std::size_t(st)],
+              t.state_cycles(sim::ThreadState(st)));
+  }
 }
 
 TEST(Analysis, MeanAndPeakBandwidth) {

@@ -6,6 +6,9 @@
 // window close followed by a request below it, spans over several
 // windows, samples for windows already emitted (dropped), and both a
 // power-of-two (8192) and a non-power-of-two (1000) sampling period.
+// Requests and compute spans enter through sample_request and
+// sample_compute, so the golden covers both their inline paths (a sample
+// inside the cached window) and their slow paths.
 //
 // After an intended change to the unit's output, the test writes what it
 // decoded to profiling_records.actual.txt in its working directory
@@ -72,7 +75,7 @@ void drive(ProfilingUnit& u, cycle_t period, std::uint64_t seed) {
       if (rng.next_below(8) == 0) {
         const auto c = thread_id_t(rng.next_below(kThreads));
         const cycle_t t1 = std::max(clock, last_compute[c] + 1);
-        u.on_compute(c, 1 + (long long)rng.next_below(500),
+        u.sample_compute(c, 1 + (long long)rng.next_below(500),
                      (long long)rng.next_below(200), last_compute[c], t1);
         last_compute[c] = t1;
       }
@@ -91,7 +94,7 @@ void drive(ProfilingUnit& u, cycle_t period, std::uint64_t seed) {
   const cycle_t lag = std::max<cycle_t>(16384, period);
   const cycle_t s0 = clock - period / 2;
   const cycle_t s1 = s0 + 2 * lag + 6 * period + 123;
-  u.on_compute(3, 123457, 98765, s0, s1);
+  u.sample_compute(3, 123457, 98765, s0, s1);
   u.on_mem_span(4, s0 + 7, s1, 1 << 20, 3 << 18);
   u.on_stall_span(5, s0 + 11, s1 - 3, 77777);
   clock = s1;
@@ -104,7 +107,7 @@ void drive(ProfilingUnit& u, cycle_t period, std::uint64_t seed) {
   clock = (clock / period + 1) * period + period / 2;
   request(u, 0, clock, 16, false, clock, 0);
   const cycle_t t1 = clock + lag + 2 * period;
-  u.on_compute(0, 1000, 400, std::max(clock, last_compute[0]), t1);
+  u.sample_compute(0, 1000, 400, std::max(clock, last_compute[0]), t1);
   last_compute[0] = t1;
   request(u, 1, clock, 64, false, clock + 2, 90);
   request(u, 2, clock + 20, 32, true, clock + 22, 0);
@@ -112,7 +115,7 @@ void drive(ProfilingUnit& u, cycle_t period, std::uint64_t seed) {
 
   // Samples for windows long emitted: dropped.
   request(u, 6, 5, 64, false, 7, 300);
-  u.on_compute(7, 99, 99, 3, 9);
+  u.sample_compute(7, 99, 99, 3, 9);
   u.on_mem_span(7, 1, 2, 64, 64);
   phase(256);
 
@@ -135,7 +138,9 @@ std::vector<std::string> records(const char* name, ProfilingConfig cfg,
                      tr.states.size(), tr.events.size()));
   for (std::size_t i = 0; i < tr.states.size(); ++i) {
     std::string codes;
-    for (std::uint8_t c : tr.states[i].states) codes += char('0' + c);
+    for (int t = 0; t < kThreads; ++t) {
+      codes += char('0' + trace::state_code(tr.states[i].states, t));
+    }
     out.push_back(strf("S %llu %s", (unsigned long long)tr.state_clocks[i],
                        codes.c_str()));
   }

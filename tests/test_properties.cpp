@@ -7,6 +7,7 @@
 #include "core/hlsprof.hpp"
 #include "paraver/reader.hpp"
 #include "paraver/writer.hpp"
+#include "state_words.hpp"
 #include "trace/records.hpp"
 #include "workloads/pi.hpp"
 #include "workloads/reference.hpp"
@@ -278,7 +279,7 @@ TEST_P(EncoderRoundTripSweep, RandomRecordStreamsSurviveLineEncoding) {
     if (rng.next_below(2) == 0) {
       std::vector<std::uint8_t> st(static_cast<std::size_t>(threads));
       for (auto& s : st) s = std::uint8_t(rng.next_below(4));
-      enc.append_state(clock, st);
+      enc.append_state(clock, pack_states(st));
       sent_states.push_back(std::move(st));
     } else {
       trace::EventRecord er;
@@ -290,13 +291,15 @@ TEST_P(EncoderRoundTripSweep, RandomRecordStreamsSurviveLineEncoding) {
       sent_events.push_back(er);
     }
   }
-  const auto lines = enc.take_lines();
+  std::vector<std::uint8_t> lines;
+  enc.take_lines(lines);
   const auto decoded = trace::decode_lines(lines.data(), lines.size(),
                                            threads);
   ASSERT_EQ(decoded.states.size(), sent_states.size());
   ASSERT_EQ(decoded.events.size(), sent_events.size());
   for (std::size_t i = 0; i < sent_states.size(); ++i) {
-    EXPECT_EQ(decoded.states[i].states, sent_states[i]);
+    EXPECT_EQ(unpack_states(decoded.states[i].states, threads),
+              sent_states[i]);
   }
   for (std::size_t i = 0; i < sent_events.size(); ++i) {
     EXPECT_EQ(decoded.events[i].value, sent_events[i].value);

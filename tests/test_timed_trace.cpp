@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "state_words.hpp"
 #include "trace/timed_trace.hpp"
 
 namespace hlsprof::trace {
@@ -15,8 +16,8 @@ DecodedTrace make_decoded(
   for (const auto& [t, st] : recs) {
     StateRecord r;
     r.clock32 = std::uint32_t(t);
-    r.states = st;
-    d.states.push_back(std::move(r));
+    r.states = pack_states(st);
+    d.states.push_back(r);
     d.state_clocks.push_back(t);
   }
   return d;
@@ -140,17 +141,18 @@ TEST(TimedTrace, RunEndExtendsLastInterval) {
 }
 
 TEST(TimedTrace, ThreadCountMismatchThrows) {
-  const auto d = make_decoded({{0, {1, 0}}});
-  EXPECT_THROW(build_timed_trace(d, 3, 10, 0), Error);
+  // A record with a code for a third thread, folded for two threads.
+  const auto d = make_decoded({{0, {1, 0, 2}}});
+  EXPECT_THROW(build_timed_trace(d, 2, 10, 0), Error);
 }
 
 TEST(TimedTraceBuilderView, ExposesClosedAndOpenIntervals) {
   TimedTraceBuilder b(2, 0);
   EXPECT_FALSE(b.started());
   StateRecord s;
-  s.states = {1, 0};  // running, idle
+  s.states = pack_states({1, 0});  // running, idle
   b.on_state(s, 100);
-  s.states = {1, 3};
+  s.states = pack_states({1, 3});
   b.on_state(s, 300);
   EventRecord e;
   e.kind = EventKind::bytes_read;

@@ -5,13 +5,22 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "state_words.hpp"
 #include "trace/records.hpp"
 
 namespace hlsprof::trace {
 namespace {
 
-std::vector<std::uint8_t> states_of(int n, std::uint8_t v) {
-  return std::vector<std::uint8_t>(std::size_t(n), v);
+/// The state word of `n` threads all in state `v`.
+StateWord states_of(int n, std::uint8_t v) {
+  return pack_states(std::vector<std::uint8_t>(std::size_t(n), v));
+}
+
+/// Every line `enc` completed so far, the open one closed.
+std::vector<std::uint8_t> take(LineEncoder& enc) {
+  std::vector<std::uint8_t> lines;
+  enc.take_lines(lines);
+  return lines;
 }
 
 TEST(Records, StateRecordSize) {
@@ -31,13 +40,13 @@ TEST(Records, EncoderRejectsBadThreadCount) {
 TEST(Records, SingleStateRoundTrip) {
   LineEncoder enc(8);
   std::vector<std::uint8_t> st{0, 1, 2, 3, 3, 2, 1, 0};
-  enc.append_state(1234, st);
-  const auto lines = enc.take_lines();
+  enc.append_state(1234, pack_states(st));
+  const auto lines = take(enc);
   ASSERT_EQ(lines.size(), kLineBytes);
   const auto d = decode_lines(lines.data(), lines.size(), 8);
   ASSERT_EQ(d.states.size(), 1u);
   EXPECT_EQ(d.states[0].clock32, 1234u);
-  EXPECT_EQ(d.states[0].states, st);
+  EXPECT_EQ(unpack_states(d.states[0].states, 8), st);
   EXPECT_TRUE(d.events.empty());
   ASSERT_EQ(d.state_clocks.size(), 1u);
   EXPECT_EQ(d.state_clocks[0], 1234u);
@@ -51,7 +60,7 @@ TEST(Records, SingleEventRoundTrip) {
   er.clock32 = 99;
   er.value = 0xDEADBEEFCAFEULL;
   enc.append_event(er);
-  const auto lines = enc.take_lines();
+  const auto lines = take(enc);
   const auto d = decode_lines(lines.data(), lines.size(), 8);
   ASSERT_EQ(d.events.size(), 1u);
   EXPECT_EQ(d.events[0].kind, EventKind::bytes_read);
@@ -71,7 +80,7 @@ TEST(Records, InterleavedRoundTripPreservesOrderWithinKinds) {
     er.value = i;
     enc.append_event(er);
   }
-  const auto lines = enc.take_lines();
+  const auto lines = take(enc);
   const auto d = decode_lines(lines.data(), lines.size(), 4);
   ASSERT_EQ(d.states.size(), 100u);
   ASSERT_EQ(d.events.size(), 100u);
@@ -99,7 +108,7 @@ TEST(Records, LineCompletionCounting) {
 TEST(Records, TakeLinesPadsAndClears) {
   LineEncoder enc(8);
   enc.append_state(1, states_of(8, 1));
-  auto lines = enc.take_lines();
+  auto lines = take(enc);
   EXPECT_EQ(lines.size(), kLineBytes);
   EXPECT_FALSE(enc.line_open());
   EXPECT_EQ(enc.pending_lines(), 0u);
@@ -107,17 +116,47 @@ TEST(Records, TakeLinesPadsAndClears) {
   for (std::size_t i = 1 + state_record_bytes(8); i < kLineBytes; ++i) {
     EXPECT_EQ(lines[i], 0);
   }
-  EXPECT_TRUE(enc.take_lines().empty());
+  EXPECT_TRUE(take(enc).empty());
+}
+
+TEST(Records, TakeLinesSwapsBuffersWithTheCaller) {
+  // Bursts alternate between the caller's buffer and the encoder's, so
+  // the third burst lands in the storage the first one used.
+  LineEncoder enc(8);
+  std::vector<std::uint8_t> burst;
+  const std::uint8_t* first = nullptr;
+  for (int i = 0; i < 3; ++i) {
+    for (int r = 0; r < 30; ++r) enc.append_state(1, states_of(8, 2));
+    enc.take_lines(burst);
+    EXPECT_EQ(burst.size(), 4 * kLineBytes);  // 9 records a line
+    EXPECT_EQ(enc.pending_lines(), 0u);
+    if (i == 0) first = burst.data();
+  }
+  EXPECT_EQ(burst.data(), first);
+  enc.take_lines(burst);
+  EXPECT_TRUE(burst.empty());
 }
 
 TEST(Records, StateVectorSizeMismatchThrows) {
-  LineEncoder enc(8);
-  EXPECT_THROW(enc.append_state(0, states_of(4, 1)), Error);
+  // Eight threads' codes for a four-thread encoder: bits above 2 * 4.
+  LineEncoder enc(4);
+  EXPECT_THROW(enc.append_state(0, states_of(8, 1)), Error);
+  EXPECT_FALSE(enc.line_open());
 }
 
 TEST(Records, StateCodeOutOfRangeThrows) {
-  LineEncoder enc(2);
-  EXPECT_THROW(enc.append_state(0, states_of(2, 4)), Error);
+  // A bit set just above the 2 * T code bits throws; the top code bit
+  // is a code.
+  for (int threads : {1, 2, 33, 63}) {
+    LineEncoder enc(threads);
+    EXPECT_THROW(enc.append_state(0, StateWord(1) << (2 * threads)), Error)
+        << threads;
+    EXPECT_NO_THROW(
+        enc.append_state(0, StateWord(1) << (2 * threads - 1)))
+        << threads;
+  }
+  LineEncoder enc(64);
+  EXPECT_NO_THROW(enc.append_state(0, ~StateWord(0)));
 }
 
 TEST(Records, DecodeRejectsPartialLine) {
@@ -128,7 +167,7 @@ TEST(Records, DecodeRejectsPartialLine) {
 TEST(Records, DecodeRejectsBadTag) {
   LineEncoder enc(8);
   enc.append_state(0, states_of(8, 1));
-  auto lines = enc.take_lines();
+  auto lines = take(enc);
   lines[1] = 0x00;  // clobber the tag
   EXPECT_THROW(decode_lines(lines.data(), lines.size(), 8), Error);
 }
@@ -144,7 +183,7 @@ TEST(Records, DecodeRejectsBadEventKind) {
   EventRecord er;
   er.kind = EventKind::fp_ops;
   enc.append_event(er);
-  auto lines = enc.take_lines();
+  auto lines = take(enc);
   lines[2] = 99;  // kind byte after tag
   EXPECT_THROW(decode_lines(lines.data(), lines.size(), 8), Error);
 }
@@ -164,11 +203,11 @@ TEST_P(PackingTest, AllStateCodesRoundTrip) {
   LineEncoder enc(threads);
   std::vector<std::uint8_t> st(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) st[std::size_t(i)] = std::uint8_t(i % 4);
-  enc.append_state(0xABCD, st);
-  const auto lines = enc.take_lines();
+  enc.append_state(0xABCD, pack_states(st));
+  const auto lines = take(enc);
   const auto d = decode_lines(lines.data(), lines.size(), threads);
   ASSERT_EQ(d.states.size(), 1u);
-  EXPECT_EQ(d.states[0].states, st);
+  EXPECT_EQ(unpack_states(d.states[0].states, threads), st);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, PackingTest,

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "state_words.hpp"
 #include "trace/records.hpp"
 #include "trace/streaming.hpp"
 #include "trace/timed_trace.hpp"
@@ -32,11 +33,18 @@ struct Collect final : RecordSink {
   }
 };
 
+/// Every line `enc` completed so far, the open one closed.
+std::vector<std::uint8_t> take(LineEncoder& enc) {
+  std::vector<std::uint8_t> lines;
+  enc.take_lines(lines);
+  return lines;
+}
+
 std::vector<std::uint8_t> one_state_line(int threads, std::uint32_t clock) {
   LineEncoder enc(threads);
-  enc.append_state(clock,
-                   std::vector<std::uint8_t>(std::size_t(threads), 1));
-  return enc.take_lines();
+  enc.append_state(
+      clock, pack_states(std::vector<std::uint8_t>(std::size_t(threads), 1)));
+  return take(enc);
 }
 
 std::vector<std::uint8_t> one_event_line(int threads) {
@@ -47,7 +55,7 @@ std::vector<std::uint8_t> one_event_line(int threads) {
   er.clock32 = 77;
   er.value = 42;
   enc.append_event(er);
-  return enc.take_lines();
+  return take(enc);
 }
 
 std::string error_of(const std::function<void()>& f) {
@@ -75,9 +83,10 @@ TEST(StreamingDecoder, MaxRecordsPerLineTracksThreadCount) {
 TEST(StreamingDecoder, EncoderNeverExceedsTheDerivedBound) {
   for (int threads : {1, 3, 8, 16, 33, 64}) {
     LineEncoder enc(threads);
-    const std::vector<std::uint8_t> st(std::size_t(threads), 1);
+    const StateWord st =
+        pack_states(std::vector<std::uint8_t>(std::size_t(threads), 1));
     for (std::uint32_t i = 0; i < 200; ++i) enc.append_state(i, st);
-    const auto lines = enc.take_lines();
+    const auto lines = take(enc);
     for (std::size_t off = 0; off < lines.size(); off += kLineBytes) {
       EXPECT_LE(int(lines[off]), max_records_per_line(threads)) << threads;
     }
@@ -207,7 +216,7 @@ std::vector<std::uint8_t> random_trace(SplitMix64& rng, int threads,
     if (rng.next_below(2) == 0) {
       std::vector<std::uint8_t> st(std::size_t(threads), 0);
       for (auto& s : st) s = std::uint8_t(rng.next_below(4));
-      enc.append_state(clock, st);
+      enc.append_state(clock, pack_states(st));
     } else {
       EventRecord er;
       er.kind = EventKind(1 + rng.next_below(5));
@@ -217,7 +226,7 @@ std::vector<std::uint8_t> random_trace(SplitMix64& rng, int threads,
       enc.append_event(er);
     }
   }
-  return enc.take_lines();
+  return take(enc);
 }
 
 void expect_same(const DecodedTrace& a, const DecodedTrace& b) {
@@ -227,7 +236,7 @@ void expect_same(const DecodedTrace& a, const DecodedTrace& b) {
   ASSERT_EQ(a.event_clocks, b.event_clocks);
   for (std::size_t i = 0; i < a.states.size(); ++i) {
     EXPECT_EQ(a.states[i].clock32, b.states[i].clock32) << i;
-    EXPECT_EQ(a.states[i].states, b.states[i].states) << i;
+    EXPECT_TRUE(a.states[i].states == b.states[i].states) << i;
   }
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].kind, b.events[i].kind) << i;
@@ -321,10 +330,80 @@ TEST(StreamingTimeline, DecoderIntoBuilderMatchesBatchBuild) {
   }
 }
 
+// ---- packed state words: encoder -> decoder -> builder ----------------------
+
+class PackedStateRoundTrip : public ::testing::TestWithParam<int> {};
+
+TEST_P(PackedStateRoundTrip, EncoderDecoderBuilderAgree) {
+  const int threads = GetParam();
+  SplitMix64 rng(static_cast<std::uint64_t>(threads));
+  // The first record sets every code bit (at 64 threads, all 128 bits);
+  // each later one changes about a third of the threads.
+  std::vector<std::vector<std::uint8_t>> sent{
+      std::vector<std::uint8_t>(std::size_t(threads), 3)};
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::uint8_t> next = sent.back();
+    for (auto& c : next) {
+      if (rng.next_below(3) == 0) c = std::uint8_t(rng.next_below(4));
+    }
+    sent.push_back(std::move(next));
+  }
+  LineEncoder enc(threads);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    enc.append_state(std::uint32_t(10 * i), pack_states(sent[i]));
+  }
+  std::vector<std::uint8_t> lines = take(enc);
+
+  // Set the padding bits above the last code in every record's last
+  // state byte: they are not codes and must be ignored.
+  const std::size_t rec = state_record_bytes(threads);
+  const int used_bits = (2 * threads) % 8;
+  const auto pad = std::uint8_t(used_bits == 0 ? 0 : 0xFF << used_bits);
+  for (std::size_t off = 0; off < lines.size(); off += kLineBytes) {
+    for (std::size_t r = 0; r < lines[off]; ++r) {
+      lines[off + 1 + r * rec + rec - 1] |= pad;
+    }
+  }
+
+  const DecodedTrace d = decode_lines(lines.data(), lines.size(), threads);
+  ASSERT_EQ(d.states.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(unpack_states(d.states[i].states, threads), sent[i]) << i;
+    EXPECT_TRUE((d.states[i].states & ~state_mask(threads)) == 0) << i;
+  }
+
+  // Each thread's intervals split exactly where its own code changed.
+  TimedTraceBuilder builder(threads, 0);
+  StreamingDecoder dec(threads, builder);
+  dec.feed(lines.data(), lines.size());
+  dec.finish();
+  const cycle_t run_end = 10 * sent.size();
+  const TimedTrace got = builder.finish(run_end);
+  for (int k = 0; k < threads; ++k) {
+    std::vector<StateInterval> want;
+    for (std::size_t i = 0; i < sent.size(); ++i) {
+      const auto s = sim::ThreadState(sent[i][std::size_t(k)]);
+      if (i > 0 && want.back().state == s) continue;
+      if (i > 0) want.back().end = 10 * i;
+      want.push_back(StateInterval{s, 10 * i, run_end});
+    }
+    const auto& gi = got.thread_states[std::size_t(k)];
+    ASSERT_EQ(gi.size(), want.size()) << "thread " << k;
+    for (std::size_t i = 0; i < gi.size(); ++i) {
+      EXPECT_EQ(gi[i].state, want[i].state) << "thread " << k;
+      EXPECT_EQ(gi[i].begin, want[i].begin) << "thread " << k;
+      EXPECT_EQ(gi[i].end, want[i].end) << "thread " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, PackedStateRoundTrip,
+                         ::testing::Values(1, 3, 4, 8, 33, 64));
+
 TEST(StreamingTimeline, BuilderIsSpentAfterFinish) {
   TimedTraceBuilder b(2, 0);
   StateRecord r;
-  r.states = {1, 1};
+  r.states = pack_states({1, 1});
   b.on_state(r, 10);
   (void)b.finish(100);
   EXPECT_THROW(b.on_state(r, 20), Error);
